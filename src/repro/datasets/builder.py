@@ -17,9 +17,11 @@ re-simulated deterministically).
 
 from __future__ import annotations
 
+import time
 from collections import OrderedDict
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,16 +31,19 @@ from ..core.reconstruction import Reconstruction
 from ..core.stages import StageContext
 from ..net.bayesian import BayesianTrinocularObserver
 from ..net.observations import ObservationSeries
-from ..net.prober import AdditionalProber, TrinocularObserver, probe_order
+from ..net.prober import AdditionalProber, ProbeLane, TrinocularObserver, probe_order
 from ..net.survey import SurveyObserver
 from ..net.usage import ROUND_SECONDS, BlockTruth
 from ..net.world import BlockSpec, WorldModel
+from ..obs.resources import thread_cpu_seconds
 from ..runtime.engine import CampaignEngine, RunMetrics, default_engine
 from ..runtime.jobs import BlockAnalysisJob
 from ..runtime.spill import SpilledResults
 from .catalog import TRINOCULAR_SITES, DatasetSpec, dataset
 
 __all__ = [
+    "LOCKSTEP_MIN_LANES",
+    "LOCKSTEP_TABLE_BYTES",
     "DatasetBuilder",
     "DatasetResult",
     "FunnelCounts",
@@ -46,6 +51,17 @@ __all__ = [
     "block_record",
     "unresponsive_analysis",
 ]
+
+
+#: Next-active table bytes one lockstep probing batch may hold (one byte
+#: per probed round column per E(b) address, see
+#: :meth:`TrinocularObserver.observe_batch`).  It bounds the range
+#: path's extra memory; a block over budget still runs, alone.
+LOCKSTEP_TABLE_BYTES = 32 << 20
+#: Fewest lanes a batch needs to probe in lockstep.  The round loop's
+#: per-round cost is shared by all lanes, so narrower batches probe lane
+#: by lane through :meth:`TrinocularObserver.observe` instead.
+LOCKSTEP_MIN_LANES = 16
 
 
 class SpilledAnalyses(Mapping[str, BlockAnalysis]):
@@ -268,27 +284,40 @@ class DatasetBuilder:
     ) -> ObservationSeries:
         truth = self.truth(spec, start_s, duration_s)
         order = probe_order(truth.n_addresses, spec.seed)
+        if observer not in ("survey", "a"):
+            return self._lane(spec, observer, truth, order, start_s, duration_s).observe()
         rng = np.random.default_rng([spec.seed, 0xC, _observer_stream(observer)])
         loss = self.world.loss_model(spec, observer)
         if observer == "survey":
             return self.survey.observe(
                 truth, None, loss, rng, start_s=start_s, duration_s=duration_s
             )
-        if observer == "a":
-            return self.additional.observe(
-                truth, order, loss, rng, start_s=start_s, duration_s=duration_s
-            )
-        prober = self.observers[observer]
+        return self.additional.observe(
+            truth, order, loss, rng, start_s=start_s, duration_s=duration_s
+        )
+
+    def _lane(
+        self,
+        spec: BlockSpec,
+        observer: str,
+        truth: BlockTruth,
+        order: np.ndarray,
+        start_s: float,
+        duration_s: float,
+    ) -> ProbeLane:
+        """One site's probing of one block, seeded per (block, site)."""
+        stream = _observer_stream(observer)
         # each observer starts its cursor at an independent position
-        cursor = int(np.random.default_rng([spec.seed, 0xD, _observer_stream(observer)]).integers(truth.n_addresses))
-        return prober.observe(
+        cursor = np.random.default_rng([spec.seed, 0xD, stream]).integers(truth.n_addresses)
+        return ProbeLane(
+            self.observers[observer],
             truth,
             order,
-            loss,
-            rng,
+            self.world.loss_model(spec, observer),
+            np.random.default_rng([spec.seed, 0xC, stream]),
             start_s=start_s,
             duration_s=duration_s,
-            start_cursor=cursor,
+            start_cursor=int(cursor),
         )
 
     def observe_dataset(
@@ -327,6 +356,115 @@ class DatasetBuilder:
         per_observer = pipeline.stage_repair(logs, ctx)
         merged = pipeline.stage_combine(per_observer, ctx)
         return pipeline.stage_reconstruct(merged, truth.addresses, grid, ctx)
+
+    def reconstruct_blocks(
+        self,
+        specs: Sequence[BlockSpec],
+        ds: DatasetSpec | str,
+        pipeline: BlockPipeline | None = None,
+        *,
+        ctxs: Sequence[StageContext] | None = None,
+        block_scope: Callable[[BlockSpec], AbstractContextManager[Any]] | None = None,
+    ) -> list[Reconstruction]:
+        """:meth:`reconstruct_block` for a range of blocks, probed in lockstep.
+
+        Returns each spec's reconstruction, equal to what
+        :meth:`reconstruct_block` returns for it, and records the same
+        stages into ``ctxs[i]``.  The range splits into consecutive
+        batches whose next-active tables fit :data:`LOCKSTEP_TABLE_BYTES`;
+        a batch's (block, observer) lanes, seeded as :meth:`_simulate`
+        seeds them, run through one
+        :meth:`TrinocularObserver.observe_batch` call.  Then each block's
+        probe logs are assembled and repaired, combined and
+        reconstructed before the next block's.  A block's ``simulate``
+        record carries its share of the batch's shared probing time
+        plus its own log assembly.  Batches narrower than
+        :data:`LOCKSTEP_MIN_LANES` lanes, and observers other than the
+        adaptive Trinocular sites, go block by block.
+
+        ``block_scope(spec)`` is entered around each block's own work
+        (the engine opens its per-block trace span there).
+        """
+        ds = dataset(ds) if isinstance(ds, str) else ds
+        pipeline = pipeline or self.pipeline
+        ctxs = list(ctxs) if ctxs is not None else [StageContext() for _ in specs]
+        scope = block_scope or (lambda spec: nullcontext())
+        lockstep = self.observer_style == "adaptive" and all(
+            name in self.observers for name in ds.observers
+        )
+        out: list[Reconstruction] = []
+        for batch in self._probe_batches(specs, ds):
+            batch_ctxs = ctxs[len(out) : len(out) + len(batch)]
+            if lockstep and len(batch) * len(ds.observers) >= LOCKSTEP_MIN_LANES:
+                out.extend(self._reconstruct_lockstep(batch, ds, pipeline, batch_ctxs, scope))
+                continue
+            for spec, ctx in zip(batch, batch_ctxs):
+                with scope(spec):
+                    out.append(self.reconstruct_block(spec, ds, pipeline, ctx=ctx))
+        return out
+
+    def _probe_batches(
+        self, specs: Sequence[BlockSpec], ds: DatasetSpec
+    ) -> Iterator[list[BlockSpec]]:
+        """Consecutive runs of ``specs`` whose tables fit the byte budget."""
+        n_cols = int(ds.duration_s // ROUND_SECONDS) + 2
+        batch: list[BlockSpec] = []
+        held = 0
+        for spec in specs:
+            nbytes = n_cols * self.world.usage_model(spec).eb_size()
+            if batch and held + nbytes > LOCKSTEP_TABLE_BYTES:
+                yield batch
+                batch, held = [], 0
+            batch.append(spec)
+            held += nbytes
+        if batch:
+            yield batch
+
+    def _reconstruct_lockstep(
+        self,
+        batch: list[BlockSpec],
+        ds: DatasetSpec,
+        pipeline: BlockPipeline,
+        ctxs: Sequence[StageContext],
+        scope: Callable[[BlockSpec], AbstractContextManager[Any]],
+    ) -> list[Reconstruction]:
+        start = ds.start_s(self.world.epoch)
+        end = start + ds.duration_s
+        grid = start + np.arange(int(ds.duration_s / ROUND_SECONDS)) * ROUND_SECONDS
+        addresses: list[np.ndarray] = []
+
+        def lanes() -> Iterator[ProbeLane]:
+            # truths stream in one block at a time: the kernel keeps only
+            # its table, so a batch never holds all of them.  Uncached
+            # (as a fresh per-block builder would be), same truth as
+            # self.truth(spec, start, duration).
+            for spec in batch:
+                truth = self.world.truth(spec, end)
+                addresses.append(truth.addresses)
+                order = probe_order(truth.n_addresses, spec.seed)
+                for name in ds.observers:
+                    yield self._lane(spec, name, truth, order, start, ds.duration_s)
+
+        t0, cpu0 = time.perf_counter(), thread_cpu_seconds()
+        logs = TrinocularObserver.observe_batch(lanes())
+        shared_s = (time.perf_counter() - t0) / len(batch)
+        shared_cpu = (thread_cpu_seconds() - cpu0) / len(batch)
+        out: list[Reconstruction] = []
+        for spec, ctx, addrs in zip(batch, ctxs, addresses):
+            with scope(spec):
+                t0, cpu0 = time.perf_counter(), thread_cpu_seconds()
+                block_logs = [next(logs).slice_time(start, end) for _ in ds.observers]
+                ctx.record_batched(
+                    "simulate",
+                    wall_s=shared_s + time.perf_counter() - t0,
+                    cpu_s=shared_cpu + thread_cpu_seconds() - cpu0,
+                    n_out=sum(len(log) for log in block_logs),
+                    n_batch=len(batch),
+                )
+                per_observer = pipeline.stage_repair(block_logs, ctx)
+                merged = pipeline.stage_combine(per_observer, ctx)
+                out.append(pipeline.stage_reconstruct(merged, addrs, grid, ctx))
+        return out
 
     def analyze_block(
         self,

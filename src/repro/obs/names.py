@@ -44,6 +44,8 @@ METRICS = frozenset(
         "executor.payload.task_bytes",
         "executor.pool_spawns",
         "executor.pool_workers",
+        "prober.batch.lanes",
+        "prober.batch.table_bytes",
         "resources.cpu_s",
         "resources.rss_peak_bytes",
         "resources.worker.cpu_s",

@@ -92,22 +92,30 @@ class TracedCall:
     trace_id: str
     parent_id: str
     #: span name per task — "block" for per-block jobs, "batch" for the
-    #: batched path's per-chunk tail calls (so block-span accounting
-    #: still counts exactly one span per block)
-    span_name: str = "block"
+    #: batched path's per-chunk tail calls; None for block-range tasks,
+    #: which open one "block" span per block themselves (so block-span
+    #: accounting still counts exactly one span per block)
+    span_name: str | None = "block"
 
     def __call__(self, task: Any) -> ShippedResult:
         tracer = Tracer(trace_id=self.trace_id, root_parent_id=self.parent_id)
         with scoped_registry() as registry, use_tracer(tracer):
             cpu_start = cpu_seconds()
-            with tracer.span(self.span_name, attrs={"pid": os.getpid()}):
+            if self.span_name is None:
                 value = self.fn(task)
+                n_items = max(len(value), 1)
+            else:
+                with tracer.span(self.span_name, attrs={"pid": os.getpid()}):
+                    value = self.fn(task)
+                n_items = 1
             # per-worker accounting rides home in the meter snapshot:
-            # the histogram's sum/count aggregate CPU across tasks and
-            # the max-gauge keeps each worker process's RSS high-water
-            registry.histogram("resources.worker.cpu_s").observe(
-                cpu_seconds() - cpu_start
-            )
+            # the histogram's sum/count aggregate CPU across tasks (a
+            # range task observes each block's share) and the max-gauge
+            # keeps each worker process's RSS high-water
+            cpu_share = (cpu_seconds() - cpu_start) / n_items
+            cpu_hist = registry.histogram("resources.worker.cpu_s")
+            for _ in range(n_items):
+                cpu_hist.observe(cpu_share)
             registry.max_gauge("resources.worker.rss_peak_bytes").set(peak_rss_bytes())
         return ShippedResult(
             value=value, spans=tuple(tracer.finished), meters=registry.snapshot()
@@ -428,6 +436,18 @@ def _chunk_group(
     return [members[i : i + size] for i in range(0, len(members), size)]
 
 
+def _block_ranges(tasks: list[Any], workers: int) -> list[tuple[Any, ...]]:
+    """Split phase A's tasks into contiguous ranges, one per worker.
+
+    A serial executor gets the whole list as one range, so every block
+    of the run (or shard) can join one lockstep probing batch; a pool
+    gets about one range per worker.
+    """
+    n = max(min(workers, len(tasks)), 1)
+    size = -(-len(tasks) // n) if tasks else 1
+    return [tuple(tasks[i : i + size]) for i in range(0, len(tasks), size)]
+
+
 def _resolve_batched(value: bool | None) -> bool:
     """Resolve the batched-dispatch setting (``REPRO_BATCHED`` when None).
 
@@ -629,10 +649,11 @@ class CampaignEngine:
 
         When the engine is :attr:`batched` and ``fn`` exposes
         ``batched_split()``, dispatch happens in two phases inside this
-        one run: the per-block phase fans out, survivors regroup by
-        shared sample grid into matrix chunks, and the batch phase maps
-        the tail job over the chunks.  Cache keys, results, and stage
-        records are those of the per-block path, byte for byte;
+        one run: the reconstruct phase maps over contiguous block ranges
+        (probed in lockstep), survivors regroup by shared sample grid
+        into matrix chunks, and the batch phase maps the tail job over
+        the chunks.  Cache keys and results are those of the per-block
+        path, byte for byte, and stage records keep its shape;
         :attr:`RunMetrics.batched` records what was regrouped.
         """
         tasks = list(tasks)
@@ -1001,21 +1022,21 @@ class CampaignEngine:
         fn: Callable[[Any], Any],
         tasks: list[Any],
         traced: "_TracedDispatch | None",
-        span_name: str,
-        tick_weight: int = 1,
+        span_name: str | None,
+        weigh: Callable[[Any], int] = lambda result: 1,
     ) -> list[Any]:
         """One executor fan-out, through :class:`TracedCall` when traced.
 
-        Every completed result ticks the ambient progress emitter;
-        ``tick_weight`` is 1 for fan-outs that complete one block per
-        result and 0 for the batched tail phase (whose blocks were
-        already counted by phase A), so ``done`` converges to the task
-        total exactly once per block.
+        Every completed result ticks the ambient progress emitter by
+        ``weigh(result)`` blocks: 1 for per-block fan-outs, the range
+        length for block-range tasks, and 0 for the batched tail phase
+        (whose blocks were already counted by phase A), so ``done``
+        converges to the task total exactly once per block.
         """
         progress = get_progress()
 
-        def on_result(_result: Any) -> None:
-            progress.tick(tick_weight)
+        def on_result(result: Any) -> None:
+            progress.tick(weigh(result))
 
         if traced is None:
             return self.executor.map(fn, tasks, on_result)
@@ -1025,7 +1046,11 @@ class CampaignEngine:
             parent_id=traced.parent_id,
             span_name=span_name,
         )
-        shipped = self.executor.map(call, tasks, on_result)
+
+        def on_shipped(shipped: Any) -> None:
+            progress.tick(weigh(shipped.value))
+
+        shipped = self.executor.map(call, tasks, on_shipped)
         values = []
         for s in shipped:
             traced.tracer.adopt(s.spans)
@@ -1039,18 +1064,27 @@ class CampaignEngine:
         pending_tasks: list[Any],
         traced: "_TracedDispatch | None" = None,
     ) -> tuple[list[Any], dict[str, int]]:
-        """Two-phase dispatch: per-block reconstruction, then batched tails.
+        """Two-phase dispatch: range reconstruction, then batched tails.
 
-        Phase A maps the reconstruct job over every pending task (one
-        ``block`` span each, exactly like per-block dispatch).  Tasks
-        that short-circuited already hold their final result; the rest
+        Phase A maps the reconstruct job over contiguous block ranges —
+        one range when serial, about one per worker on a pool — so each
+        range probes its blocks in lockstep; the job opens one ``block``
+        span per block, exactly like per-block dispatch.  Tasks that
+        short-circuited already hold their final result; the rest
         regroup by shared sample grid, are chunked to keep a parallel
         executor's pool busy, and phase B maps the tail job over the
         chunks (one ``batch`` span each).  Slot order is preserved, so
         the caller merges results exactly as in the per-block path.
         """
         recon_fn, tail_fn = fn.batched_split()
-        produced = self._map_tasks(recon_fn, pending_tasks, traced, "block")
+        workers = getattr(self.executor, "workers", 1)
+        produced = [
+            item
+            for results in self._map_tasks(
+                recon_fn, _block_ranges(pending_tasks, workers), traced, None, len
+            )
+            for item in results
+        ]
         slots: list[Any] = [None] * len(produced)
         survivors: list[tuple[int, Any]] = []
         for i, item in enumerate(produced):
@@ -1062,7 +1096,6 @@ class CampaignEngine:
         for i, rb in survivors:
             grid = rb.reconstruction.counts.times.tobytes()
             groups.setdefault(grid, []).append((i, rb))
-        workers = getattr(self.executor, "workers", 1)
         chunks: list[list[tuple[int, Any]]] = []
         for members in groups.values():
             chunks.extend(_chunk_group(members, workers))
@@ -1071,7 +1104,7 @@ class CampaignEngine:
             [tuple(rb for _, rb in c) for c in chunks],
             traced,
             "batch",
-            tick_weight=0,  # phase A already counted these blocks as done
+            lambda result: 0,  # phase A already counted these blocks as done
         )
         for members, block_results in zip(chunks, computed):
             for (i, _), result in zip(members, block_results):

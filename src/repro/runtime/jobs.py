@@ -10,10 +10,10 @@ mutable caches).
 
 The batched dispatch path splits :class:`BlockAnalysisJob` in two via
 :meth:`BlockAnalysisJob.batched_split`: a :class:`BlockReconstructJob`
-that fans out per block (simulation dominates and does not batch) and a
-:class:`BatchTailJob` that runs the analysis tail — classify, trend,
-detect — over a whole chunk of reconstructions at once through the
-batched columnar kernels.
+that simulates and reconstructs a contiguous block range (probing its
+blocks in lockstep) and a :class:`BatchTailJob` that runs the analysis
+tail — classify, trend, detect — over a whole chunk of reconstructions
+at once through the batched columnar kernels.
 
 Jobs are transport-agnostic: under the shared-memory tier
 (:class:`~repro.runtime.executors.SharedMemoryExecutor`) the large
@@ -29,7 +29,10 @@ the same pickled job works on every executor.
 
 from __future__ import annotations
 
+import os
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from ..core.stages import PIPELINE_STAGES, StageContext, StageRecord
 from ..datasets.catalog import DatasetSpec
 from ..net.world import BlockSpec, WorldModel
 from ..obs.metrics import get_registry
-from ..obs.trace import annotate
+from ..obs.trace import annotate, get_tracer
 from .cache import task_key
 from .engine import BlockResult
 
@@ -143,12 +146,15 @@ class BlockAnalysisJob:
 
 @dataclass(frozen=True)
 class BlockReconstructJob:
-    """Phase A of the batched path: simulate + reconstruct one block.
+    """Phase A of the batched path: simulate + reconstruct a block range.
 
-    Mirrors :class:`BlockAnalysisJob` exactly up to the reconstruction:
-    same firewalled short-circuit (returning the finished
-    :class:`BlockResult` — those blocks never reach the tail), same
-    funnel counters, same span annotations.
+    One call takes a contiguous range of specs and returns one result
+    per spec, in order.  Per block it mirrors :class:`BlockAnalysisJob`
+    exactly up to the reconstruction: same firewalled short-circuit
+    (returning the finished :class:`BlockResult` — those blocks never
+    reach the tail), same funnel counters, one ``block`` span each.  The
+    range's responsive blocks are probed together through
+    :meth:`~repro.datasets.builder.DatasetBuilder.reconstruct_blocks`.
     """
 
     world: WorldModel
@@ -156,21 +162,49 @@ class BlockReconstructJob:
     pipeline: BlockPipeline
     observer_style: str = "adaptive"
 
-    def __call__(self, spec: BlockSpec) -> BlockResult | ReconstructedBlock:
+    def __call__(
+        self, specs: tuple[BlockSpec, ...]
+    ) -> tuple[BlockResult | ReconstructedBlock, ...]:
         from ..datasets.builder import DatasetBuilder
 
-        annotate(block=spec.block.cidr, dataset=self.ds.name)
-        short = _firewalled_result(spec)
-        if short is not None:
-            return short
-        get_registry().counter("blocks.analyzed").inc()
-        ctx = StageContext()
-        builder = DatasetBuilder(
-            self.world, self.pipeline, observer_style=self.observer_style
-        )
-        recon = builder.reconstruct_block(spec, self.ds, ctx=ctx)
-        return ReconstructedBlock(
-            key=spec.block.cidr, reconstruction=recon, stages=tuple(ctx.records)
+        out: list[BlockResult | ReconstructedBlock | None] = [None] * len(specs)
+        live: list[int] = []
+        for i, spec in enumerate(specs):
+            if spec.responsive_by_design:
+                live.append(i)
+                continue
+            with self._block_span(spec):
+                out[i] = _firewalled_result(spec)
+        if live:
+            get_registry().counter("blocks.analyzed").inc(len(live))
+            ctxs = [StageContext() for _ in live]
+            builder = DatasetBuilder(
+                self.world, self.pipeline, observer_style=self.observer_style
+            )
+            recons = builder.reconstruct_blocks(
+                [specs[i] for i in live],
+                self.ds,
+                ctxs=ctxs,
+                block_scope=self._block_span,
+            )
+            for i, recon, ctx in zip(live, recons, ctxs):
+                out[i] = ReconstructedBlock(
+                    key=specs[i].block.cidr,
+                    reconstruction=recon,
+                    stages=tuple(ctx.records),
+                )
+        return tuple(r for r in out if r is not None)
+
+    def _block_span(self, spec: BlockSpec) -> AbstractContextManager[Any]:
+        """The engine's per-block span, opened here (no-op when untraced).
+
+        The engine runs range tasks without a wrapping span (see
+        :class:`~repro.runtime.engine.TracedCall`), so each block's span
+        still hangs directly off the campaign span.
+        """
+        return get_tracer().span(
+            "block",
+            attrs={"pid": os.getpid(), "block": spec.block.cidr, "dataset": self.ds.name},
         )
 
 

@@ -10,6 +10,7 @@ whose running-minimum identity reorders float additions).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import datetime
 
 import numpy as np
@@ -20,16 +21,18 @@ from repro.core.reconstruction import (
     full_scan_durations_reference,
 )
 from repro.net.events import Calendar
-from repro.net.loss import BernoulliLoss, NoLoss
+from repro.net.loss import BernoulliLoss, DiurnalCongestionLoss, NoLoss
 from repro.net.observations import ObservationSeries
-from repro.net.prober import TrinocularObserver, probe_order
+from repro.net.prober import ProbeLane, TrinocularObserver, probe_order
 from repro.net.usage import (
+    BlockTruth,
     NatGatewayUsage,
     ServerFarmUsage,
     SparseUsage,
     WorkplaceUsage,
     round_grid,
 )
+from repro.obs.metrics import scoped_registry
 from repro.timeseries.detect import detect_cusum, detect_cusum_reference
 
 EPOCH = datetime(2020, 1, 1)
@@ -173,6 +176,192 @@ class TestProberEquivalence:
             duration_s=86_400.0,
             start_cursor=11,
         )
+
+
+def batch_and_single(lanes):
+    """Run lanes through ``observe_batch`` and one by one through ``observe``.
+
+    ``lanes`` are ProbeLane templates whose ``rng`` field holds a seed;
+    each side gets its own twin generators.  Asserts equal logs, equal
+    probe-volume counters and equal generator states afterwards.
+    """
+
+    def twins():
+        return [replace(lane, rng=np.random.default_rng(lane.rng)) for lane in lanes]
+
+    fast_lanes, slow_lanes = twins(), twins()
+    with scoped_registry() as fast_meters:
+        fast = list(TrinocularObserver.observe_batch(fast_lanes))
+    with scoped_registry() as slow_meters:
+        slow = [
+            lane.observer.observe(
+                lane.truth,
+                lane.order,
+                lane.loss,
+                lane.rng,
+                start_s=lane.start_s,
+                duration_s=lane.duration_s,
+                start_cursor=lane.start_cursor,
+            )
+            for lane in slow_lanes
+        ]
+    assert len(fast) == len(slow) == len(lanes)
+    for f, s, fl, sl in zip(fast, slow, fast_lanes, slow_lanes):
+        assert_same_series(f, s)
+        assert f.observer == s.observer
+        assert fl.rng.bit_generator.state == sl.rng.bit_generator.state
+    for name in ("probes.sent.trinocular", "probes.positive.trinocular"):
+        assert fast_meters.counter(name).value == slow_meters.counter(name).value
+    return fast
+
+
+#: the four §3.4 sites at their catalog phases
+SITES = [
+    TrinocularObserver(name, phase_offset_s=phase)
+    for name, phase in zip("ejnw", (137.0, 347.0, 449.0, 551.0))
+]
+
+
+def lanes_of(truth, observers, *, seed, loss=None, **kwargs):
+    """One lane per observer over a shared truth and order."""
+    order = probe_order(truth.n_addresses, seed)
+    return [
+        ProbeLane(obs, truth, order, loss, seed * 100 + i, **kwargs)
+        for i, obs in enumerate(observers)
+    ]
+
+
+class TestLockstepProberEquivalence:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_randomized_ranges(self, seed):
+        """Mixed blocks, limits, phases, losses and windows match exactly."""
+        rng = np.random.default_rng(100 + seed)
+        lanes = []
+        for b in range(int(rng.integers(2, 6))):
+            usage = [
+                WorkplaceUsage(n_desktops=int(rng.integers(1, 60)), n_servers=2),
+                SparseUsage(n_addresses=int(rng.integers(2, 14))),  # m < K
+                NatGatewayUsage(n_routers=2, stale_addresses=int(rng.integers(0, 12))),
+                ServerFarmUsage(n_servers=int(rng.integers(1, 40))),
+            ][int(rng.integers(4))]
+            truth = make_truth(usage, days=float(rng.uniform(0.5, 3.0)), seed=seed * 7 + b)
+            order = probe_order(truth.n_addresses, seed + b)
+            for o in range(int(rng.integers(1, 5))):
+                loss = [
+                    NoLoss(),
+                    BernoulliLoss(p=0.0),
+                    BernoulliLoss(p=0.004),
+                    BernoulliLoss(p=float(rng.uniform(0.05, 0.99))),
+                    DiurnalCongestionLoss(),
+                ][int(rng.integers(5))]
+                start_s = float(rng.uniform(0.0, 20_000.0))
+                duration_s = (
+                    float(rng.uniform(0.0, truth.duration_s - start_s))
+                    if rng.random() < 0.7
+                    else None
+                )
+                obs = TrinocularObserver(
+                    f"o{o}",
+                    phase_offset_s=float(rng.uniform(0.0, 660.0)),
+                    max_probes_per_round=int(rng.integers(1, 20)),
+                )
+                lanes.append(
+                    ProbeLane(
+                        obs,
+                        truth,
+                        order,
+                        loss,
+                        seed * 1000 + len(lanes),
+                        start_s=start_s,
+                        duration_s=duration_s,
+                        start_cursor=int(rng.integers(0, 1000)),
+                    )
+                )
+        batch_and_single(lanes)
+
+    def test_limits_up_to_nineteen_and_tiny_blocks(self):
+        """Per-round limits 1..19 on blocks both wider and narrower than K."""
+        wide = make_truth(WorkplaceUsage(n_desktops=50, n_servers=2), days=1.0, seed=11)
+        narrow = make_truth(SparseUsage(n_addresses=5), days=1.0, seed=12)
+        lanes = []
+        for truth, seed in ((wide, 11), (narrow, 12)):
+            lanes += lanes_of(
+                truth,
+                [TrinocularObserver(f"k{k}", phase_offset_s=17.0 * k, max_probes_per_round=k)
+                 for k in range(1, 20)],
+                seed=seed,
+                loss=BernoulliLoss(p=0.1),
+            )
+        batch_and_single(lanes)
+
+    def test_column_crossing_phases(self):
+        """Rounds starting just before a column edge continue in the next column."""
+        truth = make_truth(WorkplaceUsage(n_desktops=40, n_servers=2), days=1.5, seed=13)
+        observers = [
+            TrinocularObserver(f"x{i}", phase_offset_s=660.0 - gap, max_probes_per_round=k)
+            for i, (gap, k) in enumerate(((4.0, 15), (1.0, 19), (30.0, 15), (44.0, 19)))
+        ]
+        batch_and_single(lanes_of(truth, observers, seed=13, loss=BernoulliLoss(p=0.3)))
+        batch_and_single(lanes_of(truth, observers, seed=14, loss=NoLoss()))
+
+    @pytest.mark.parametrize("p", [0.0, 0.004, 0.99])
+    def test_bernoulli_loss(self, p):
+        truth = make_truth(ServerFarmUsage(n_servers=16), days=1.0, seed=15)
+        batch_and_single(lanes_of(truth, SITES, seed=15, loss=BernoulliLoss(p=p)))
+
+    def test_diurnal_congestion_loss(self):
+        truth = make_truth(WorkplaceUsage(n_desktops=30, n_servers=2), days=2.0, seed=16)
+        batch_and_single(
+            lanes_of(truth, SITES, seed=16, loss=DiurnalCongestionLoss(base=0.05, peak=0.6))
+        )
+        # a zero off-peak rate draws nothing in quiet rounds; such lanes
+        # take observe's own path and still match
+        batch_and_single(
+            lanes_of(truth, SITES, seed=17, loss=DiurnalCongestionLoss(base=0.0, peak=0.6))
+        )
+
+    def test_uneven_round_counts_and_zero_duration(self):
+        truth = make_truth(WorkplaceUsage(n_desktops=25, n_servers=1), days=3.0, seed=18)
+        order = probe_order(truth.n_addresses, 18)
+        obs = TrinocularObserver("e", phase_offset_s=137.0)
+        windows = [(0.0, None), (86_400.0, 86_400.0), (3_000.0, 660.0 * 3 + 7.0), (500.0, 0.0)]
+        lanes = [
+            ProbeLane(obs, truth, order, BernoulliLoss(p=0.2), 18 + i, start_s=a, duration_s=d)
+            for i, (a, d) in enumerate(windows)
+        ]
+        logs = batch_and_single(lanes)
+        assert len(logs[3]) == 0 and len(logs[0]) > len(logs[1]) > len(logs[2]) > 0
+
+    def test_empty_block_and_empty_batch(self):
+        """Lanes the kernel cannot run take observe's path, in lane order."""
+        assert list(TrinocularObserver.observe_batch([])) == []
+        empty = BlockTruth(
+            addresses=np.array([], dtype=np.int16),
+            active=np.zeros((0, 100), dtype=bool),
+            col_times=np.arange(100) * 660.0,
+        )
+        truth = make_truth(SparseUsage(n_addresses=20), days=1.0, seed=22)
+        lanes = lanes_of(truth, [TrinocularObserver("e")], seed=22, loss=BernoulliLoss(p=0.1))
+        lanes.insert(0, ProbeLane(TrinocularObserver("e"), empty, np.arange(0), None, 5))
+        logs = batch_and_single(lanes)
+        assert len(logs[0]) == 0 and len(logs[1]) > 0
+
+    def test_lanes_share_one_truth(self):
+        """A block's observers share one table; interleaved blocks still match."""
+        a = make_truth(WorkplaceUsage(n_desktops=35, n_servers=2), days=1.0, seed=19)
+        b = make_truth(ServerFarmUsage(n_servers=12), days=1.0, seed=20)
+        lanes_a = lanes_of(a, SITES, seed=19, loss=BernoulliLoss(p=0.004))
+        lanes_b = lanes_of(b, SITES, seed=20, loss=BernoulliLoss(p=0.004))
+        batch_and_single(lanes_a + lanes_b)
+        batch_and_single([x for pair in zip(lanes_a, lanes_b) for x in pair])
+
+    def test_lane_draws_past_one_chunk(self):
+        """Every probe of an always-on block draws: > 4096 draws refill the stream."""
+        truth = make_truth(ServerFarmUsage(n_servers=16), days=4.0, seed=21)
+        truth.active[:] = True
+        observers = [TrinocularObserver("e", phase_offset_s=137.0), TrinocularObserver("w")]
+        logs = batch_and_single(lanes_of(truth, observers, seed=21, loss=BernoulliLoss(p=0.99)))
+        assert min(len(log) for log in logs) > 4096
 
 
 class TestFullScanEquivalence:

@@ -9,9 +9,11 @@ import pytest
 import repro.runtime.executors as executors_mod
 from repro.core.pipeline import BlockPipeline
 from repro.core.stages import PIPELINE_STAGES
+import repro.datasets.builder as builder_mod
 from repro.datasets.builder import DatasetBuilder
 from repro.datasets.catalog import dataset
 from repro.net.world import WorldModel, scenario_covid2020
+from repro.obs.metrics import scoped_registry
 from repro.runtime import (
     AnalysisCache,
     BlockAnalysisJob,
@@ -399,7 +401,7 @@ class TestBatchedDispatch:
         job = BlockReconstructJob(
             world=world200, ds=dataset(DATASET), pipeline=BlockPipeline()
         )
-        result = job(spec)
+        (result,) = job((spec,))
         assert isinstance(result, BlockResult)
         assert all(r.skipped for r in result.stages)
 
@@ -445,3 +447,125 @@ class TestBatchedDispatch:
         monkeypatch.setenv("REPRO_BATCHED", "sideways")
         with pytest.warns(RuntimeWarning, match="REPRO_BATCHED"):
             assert _resolve_batched(None) is True
+
+
+def _analysis_bytes(result) -> dict[str, bytes]:
+    return {cidr: pickle.dumps(a) for cidr, a in result.analyses.items()}
+
+
+class TestRangeDispatch:
+    """Phase A probes contiguous block ranges in lockstep, invisibly."""
+
+    @pytest.fixture(scope="class")
+    def world(self) -> WorldModel:
+        return WorldModel(scenario_covid2020(), n_blocks=48, seed=5)
+
+    @pytest.fixture(scope="class")
+    def tasks(self, world):
+        """The world's blocks, firewalled ones interleaved as generated."""
+        return list(world.blocks)
+
+    @staticmethod
+    def split(world, n):
+        """n firewalled then n responsive blocks: a 2-way split leaves one
+        range with no responsive block at all."""
+        firewalled = [s for s in world.blocks if not s.responsive_by_design][:n]
+        responsive = [s for s in world.blocks if s.responsive_by_design][:n]
+        assert len(firewalled) == len(responsive) == n
+        return firewalled + responsive
+
+    @pytest.fixture(scope="class")
+    def per_block(self, world, tasks):
+        with scoped_registry() as meters:
+            engine = CampaignEngine(SerialExecutor(), batched=False)
+            result = DatasetBuilder(world).analyze(DATASET, blocks=tasks, engine=engine)
+        return result, meters.snapshot()
+
+    def _run(self, world, tasks, engine):
+        with scoped_registry() as meters:
+            result = DatasetBuilder(world).analyze(DATASET, blocks=tasks, engine=engine)
+        return result, meters.snapshot()
+
+    @pytest.mark.parametrize("budget_blocks", [None, 3])
+    def test_serial_ranges_match_per_block(
+        self, world, tasks, per_block, budget_blocks, monkeypatch
+    ):
+        if budget_blocks is not None:
+            # a budget of a few blocks' tables splits the range into
+            # batches, some narrow enough to probe lane by lane
+            n_cols = int(dataset(DATASET).duration_s // 660) + 2
+            monkeypatch.setattr(builder_mod, "LOCKSTEP_TABLE_BYTES", budget_blocks * 64 * n_cols)
+        result, meters = self._run(world, tasks, CampaignEngine(SerialExecutor(), batched=True))
+        expected, expected_meters = per_block
+        assert _analysis_bytes(result) == _analysis_bytes(expected)
+        for name in ("probes.sent.trinocular", "probes.positive.trinocular"):
+            assert meters[name]["value"] == expected_meters[name]["value"] > 0
+        assert meters["prober.batch.lanes"]["count"] >= 1
+        if budget_blocks is not None:
+            assert meters["prober.batch.lanes"]["count"] >= 2
+        # per-block stage records keep their shape: simulate carries the
+        # block's probe count, and every responsive block records it once
+        simulate = result.metrics.stages["simulate"]
+        assert simulate.calls == expected.metrics.stages["simulate"].calls
+        assert simulate.n_out == expected.metrics.stages["simulate"].n_out
+
+    def test_pool_and_cached_shards_match_per_block(self, world, tasks, per_block, tmp_path):
+        expected = _analysis_bytes(per_block[0])
+        pooled, _ = self._run(world, tasks, CampaignEngine(ParallelExecutor(workers=2)))
+        assert _analysis_bytes(pooled) == expected
+        split, _ = self._run(
+            world, self.split(world, 8), CampaignEngine(ParallelExecutor(workers=2))
+        )
+        for cidr, blob in _analysis_bytes(split).items():
+            assert blob == expected[cidr]
+        for _ in range(2):  # cold, then warm from the cache
+            engine = CampaignEngine(
+                SerialExecutor(), cache=AnalysisCache(tmp_path), batched=True, shards=2
+            )
+            sharded, _ = self._run(world, tasks, engine)
+            assert _analysis_bytes(sharded) == expected
+        assert engine.history[-1].cache["hits"] == len(tasks)
+
+    def test_one_block_ranges(self, world, per_block):
+        expected = _analysis_bytes(per_block[0])
+        live = [s for s in world.blocks if s.responsive_by_design][:2]
+        for engine in (
+            CampaignEngine(SerialExecutor(), batched=True),
+            CampaignEngine(ParallelExecutor(workers=2), batched=True),
+        ):
+            result, _ = self._run(world, live, engine)
+            for cidr, blob in _analysis_bytes(result).items():
+                assert blob == expected[cidr]
+
+    def test_one_block_span_per_block(self, world, tasks):
+        from repro.obs.trace import Tracer, use_tracer
+
+        tracer = Tracer()
+        with use_tracer(tracer):
+            DatasetBuilder(world).analyze(
+                DATASET, blocks=tasks, engine=CampaignEngine(SerialExecutor(), batched=True)
+            )
+        campaign = next(s for s in tracer.finished if s.name == "campaign")
+        blocks = [s for s in tracer.finished if s.name == "block"]
+        assert sorted(b.attrs["block"] for b in blocks) == sorted(s.block.cidr for s in tasks)
+        assert all(b.parent_id == campaign.span_id for b in blocks)
+        block_ids = {b.span_id for b in blocks}
+        simulate = [s for s in tracer.finished if s.name == "stage:simulate"]
+        assert len(simulate) == sum(s.responsive_by_design for s in tasks)
+        assert all(s.parent_id in block_ids for s in simulate)
+
+    def test_progress_done_reaches_total_once(self, world, tasks, tmp_path):
+        import json
+
+        from repro.obs.progress import ProgressEmitter, use_progress
+
+        emitter = ProgressEmitter(tmp_path, interval_s=0.0)
+        with use_progress(emitter):
+            DatasetBuilder(world).analyze(
+                DATASET,
+                blocks=tasks,
+                engine=CampaignEngine(ParallelExecutor(workers=2), batched=True),
+            )
+        done = [json.loads(line)["done"] for line in emitter.path.read_text().splitlines()]
+        assert done == sorted(done) and done[-1] == len(tasks)
+        assert max(done) == len(tasks)
