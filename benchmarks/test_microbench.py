@@ -35,8 +35,11 @@ from repro.core.reconstruction import full_scan_durations, reconstruct
 from repro.core.repair import one_loss_repair
 from repro.core.trend import TrendExtractor
 from repro.datasets.builder import DatasetBuilder
+from repro.datasets.catalog import dataset
 from repro.experiments.common import bench_scale
+from repro.net.events import Calendar
 from repro.net.prober import TrinocularObserver
+from repro.net.usage import DynamicPoolUsage, SparseUsage, round_grid
 from repro.net.world import WorldModel, scenario_covid2020
 from repro.runtime import AnalysisCache, CampaignEngine, ParallelExecutor, SerialExecutor
 from repro.timeseries.detect import detect_cusum, detect_cusum_reference
@@ -161,6 +164,48 @@ def test_kernel_speedups_artifact(quarter_block):
     assert kernels["prober"]["speedup"] > 1.5
     assert kernels["full_scan_durations"]["speedup"] > 1.5
     assert kernels["cusum"]["speedup"] > 1.5
+
+
+# ---------------------------------------------------------------------------
+# window-only ground truth vs the whole-grid oracle
+# ---------------------------------------------------------------------------
+TRUTH_MODELS = {
+    "churn": SparseUsage(n_addresses=60, mean_on_days=0.8, mean_off_days=1.2),
+    "pool": DynamicPoolUsage(pool_size=180),
+}
+
+
+@pytest.fixture(scope="module")
+def quarter_window():
+    """The ``2020q1-w`` window on the covid world's epoch-origin round grid."""
+    ds = dataset("2020q1-w")
+    scenario = scenario_covid2020()
+    start = ds.start_s(scenario.epoch)
+    calendar = Calendar(epoch=scenario.epoch, tz_hours=8.0)
+    return round_grid(start + ds.duration_s), int(start // 660.0), calendar
+
+
+def _truth(method, grid, first_col, calendar):
+    rng = np.random.default_rng(9)
+    return method(rng, grid, calendar, first_col=first_col), rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", sorted(TRUTH_MODELS))
+def test_truth_window_quarter(benchmark, quarter_window, kind):
+    """Window-only truth generation over a quarter (``generate``)."""
+    usage = TRUTH_MODELS[kind]
+    truth, state = benchmark(_truth, usage.generate, *quarter_window)
+    oracle, oracle_state = _truth(usage.generate_reference, *quarter_window)
+    assert np.array_equal(truth.active, oracle.active) and state == oracle_state
+
+
+@pytest.mark.parametrize("kind", sorted(TRUTH_MODELS))
+def test_truth_window_quarter_reference(benchmark, quarter_window, kind):
+    """The whole-grid oracle, for comparison with test_truth_window_quarter."""
+    usage = TRUTH_MODELS[kind]
+    oracle, oracle_state = benchmark(_truth, usage.generate_reference, *quarter_window)
+    truth, state = _truth(usage.generate, *quarter_window)
+    assert np.array_equal(truth.active, oracle.active) and state == oracle_state
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def reconstruct(
         )
 
     # group probes by address, preserving time order within each group
-    order = np.lexsort((np.arange(times.size), addrs))
+    order = np.argsort(addrs, kind="stable")
     g_times = times[order]
     g_addrs = addrs[order]
     g_results = results[order]

@@ -24,7 +24,7 @@ __all__ = ["one_loss_repair", "repaired_fraction"]
 
 def _repair_mask(addresses: np.ndarray, results: np.ndarray) -> np.ndarray:
     """Boolean mask of probes to flip from 0 to 1 (time-ordered input)."""
-    order = np.lexsort((np.arange(addresses.size), addresses))
+    order = np.argsort(addresses, kind="stable")
     a = addresses[order]
     r = results[order]
 

@@ -348,9 +348,11 @@ class DatasetBuilder:
         pipeline = pipeline or self.pipeline
         ctx = ctx if ctx is not None else StageContext()
         start = ds.start_s(self.world.epoch)
+        with ctx.stage("truth") as active:
+            truth = self.truth(spec, start, ds.duration_s)
+            active.n_out = truth.n_addresses
         with ctx.stage("simulate") as active:
             logs = self.observe_dataset(spec, ds)
-            truth = self.truth(spec, start, ds.duration_s)
             active.n_out = sum(len(log) for log in logs)
         grid = start + np.arange(int(ds.duration_s / ROUND_SECONDS)) * ROUND_SECONDS
         per_observer = pipeline.stage_repair(logs, ctx)
@@ -376,9 +378,10 @@ class DatasetBuilder:
         seeds them, run through one
         :meth:`TrinocularObserver.observe_batch` call.  Then each block's
         probe logs are assembled and repaired, combined and
-        reconstructed before the next block's.  A block's ``simulate``
-        record carries its share of the batch's shared probing time
-        plus its own log assembly.  Batches narrower than
+        reconstructed before the next block's.  A block's ``truth``
+        record carries its own truth generation, and its ``simulate``
+        record its share of the batch's probing time (the batch's wall
+        less its truths) plus its own log assembly.  Batches narrower than
         :data:`LOCKSTEP_MIN_LANES` lanes, and observers other than the
         adaptive Trinocular sites, go block by block.
 
@@ -432,14 +435,18 @@ class DatasetBuilder:
         end = start + ds.duration_s
         grid = start + np.arange(int(ds.duration_s / ROUND_SECONDS)) * ROUND_SECONDS
         addresses: list[np.ndarray] = []
+        truth_times: list[tuple[float, float]] = []  # per block: (wall, cpu)
 
         def lanes() -> Iterator[ProbeLane]:
             # truths stream in one block at a time: the kernel keeps only
             # its table, so a batch never holds all of them.  Uncached
-            # (as a fresh per-block builder would be), same truth as
-            # self.truth(spec, start, duration).
+            # (as a fresh per-block builder would be), and built over the
+            # window only: the columns of self.truth(spec, start, duration)
+            # from the one covering ``start`` on.
             for spec in batch:
-                truth = self.world.truth(spec, end)
+                t0, cpu0 = time.perf_counter(), thread_cpu_seconds()
+                truth = self.world.truth(spec, ds.duration_s, start_s=start)
+                truth_times.append((time.perf_counter() - t0, thread_cpu_seconds() - cpu0))
                 addresses.append(truth.addresses)
                 order = probe_order(truth.n_addresses, spec.seed)
                 for name in ds.observers:
@@ -447,11 +454,12 @@ class DatasetBuilder:
 
         t0, cpu0 = time.perf_counter(), thread_cpu_seconds()
         logs = TrinocularObserver.observe_batch(lanes())
-        shared_s = (time.perf_counter() - t0) / len(batch)
-        shared_cpu = (thread_cpu_seconds() - cpu0) / len(batch)
+        shared_s = (time.perf_counter() - t0 - sum(w for w, _ in truth_times)) / len(batch)
+        shared_cpu = (thread_cpu_seconds() - cpu0 - sum(c for _, c in truth_times)) / len(batch)
         out: list[Reconstruction] = []
-        for spec, ctx, addrs in zip(batch, ctxs, addresses):
+        for spec, ctx, addrs, (truth_s, truth_cpu) in zip(batch, ctxs, addresses, truth_times):
             with scope(spec):
+                ctx.record_batched("truth", wall_s=truth_s, cpu_s=truth_cpu, n_out=addrs.size)
                 t0, cpu0 = time.perf_counter(), thread_cpu_seconds()
                 block_logs = [next(logs).slice_time(start, end) for _ in ds.observers]
                 ctx.record_batched(
@@ -526,6 +534,8 @@ class DatasetBuilder:
     def availability(self, spec: BlockSpec, start_s: float, duration_s: float) -> float:
         """Long-run availability A: mean activity over E(b) and time (§3.2.3)."""
         truth = self.truth(spec, start_s, duration_s)
+        if not truth.n_cols:
+            return 0.0
         lo = truth.column_of(start_s)
         hi = truth.column_of(start_s + duration_s - 1.0) + 1
         window = truth.active[:, lo:hi]

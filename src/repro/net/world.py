@@ -525,22 +525,17 @@ class WorldModel:
     def truth(self, spec: BlockSpec, duration_s: float, *, start_s: float = 0.0) -> BlockTruth:
         """Ground truth for one block over ``[start_s, start_s+duration_s)``.
 
-        Truth is generated from time zero so that a block looks identical
-        regardless of the dataset window observing it.
+        The truth's columns start at the one covering ``start_s``.  Draws
+        span the grid from time zero, so a block looks identical
+        regardless of the dataset window observing it; only the window's
+        columns are built.
         """
-        total = min(start_s + duration_s, self.scenario.max_duration_s)
-        grid = round_grid(total)
+        grid = round_grid(min(start_s + duration_s, self.scenario.max_duration_s))
+        first_col = min(max(int(start_s // ROUND_SECONDS), 0), grid.size)
         rng = np.random.default_rng([spec.seed, 0xB])
-        truth = self.usage_model(spec).generate(rng, grid, self.calendar(spec))
-        if start_s > 0:
-            first_col = int(start_s // ROUND_SECONDS)
-            truth = BlockTruth(
-                addresses=truth.addresses,
-                active=truth.active[:, first_col:],
-                col_times=truth.col_times[first_col:],
-                round_seconds=truth.round_seconds,
-            )
-        return truth
+        return self.usage_model(spec).generate(
+            rng, grid, self.calendar(spec), first_col=first_col
+        )
 
     def loss_model(self, spec: BlockSpec, observer: str) -> LossModel:
         broken = self.scenario.broken_observers.get(observer)

@@ -58,8 +58,8 @@ __all__ = [
 class ReconstructedBlock:
     """Phase-A output of the batched path: one block, reconstructed.
 
-    Carries the stage records of the front half (simulate, repair,
-    combine, reconstruct) so the tail job can prepend them to its own
+    Carries the stage records of the front half (truth, simulate,
+    repair, combine, reconstruct) so the tail job can prepend them to its own
     and return a :class:`BlockResult` indistinguishable from the
     per-block path's.
     """

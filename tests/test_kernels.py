@@ -11,7 +11,7 @@ whose running-minimum identity reorders float additions).
 from __future__ import annotations
 
 from dataclasses import replace
-from datetime import datetime
+from datetime import date, datetime
 
 import numpy as np
 import pytest
@@ -20,18 +20,30 @@ from repro.core.reconstruction import (
     full_scan_durations,
     full_scan_durations_reference,
 )
-from repro.net.events import Calendar
+from repro.net.events import (
+    Calendar,
+    Holiday,
+    Migration,
+    Outage,
+    Renumbering,
+    ServiceWindow,
+    WorkFromHome,
+)
 from repro.net.loss import BernoulliLoss, DiurnalCongestionLoss, NoLoss
 from repro.net.observations import ObservationSeries
 from repro.net.prober import ProbeLane, TrinocularObserver, probe_order
 from repro.net.usage import (
     BlockTruth,
+    DynamicPoolUsage,
+    FirewalledUsage,
+    HomeEveningUsage,
     NatGatewayUsage,
     ServerFarmUsage,
     SparseUsage,
     WorkplaceUsage,
     round_grid,
 )
+from repro.net.world import WorldModel, scenario_covid2020
 from repro.obs.metrics import scoped_registry
 from repro.timeseries.detect import detect_cusum, detect_cusum_reference
 
@@ -362,6 +374,98 @@ class TestLockstepProberEquivalence:
         observers = [TrinocularObserver("e", phase_offset_s=137.0), TrinocularObserver("w")]
         logs = batch_and_single(lanes_of(truth, observers, seed=21, loss=BernoulliLoss(p=0.99)))
         assert min(len(log) for log in logs) > 4096
+
+
+class TestUsageEquivalence:
+    """Window-only ``generate`` against the whole-grid ``generate_reference``."""
+
+    DAYS = 9.0
+    GRID = round_grid(DAYS * 86_400.0)
+    EVENTS = (
+        Outage(start_s=0.5 * 86_400.0, end_s=0.7 * 86_400.0),  # before the window
+        Renumbering(time_s=2.9 * 86_400.0, shift=40),  # gap straddles day 3
+        ServiceWindow(end_s=8.0 * 86_400.0),  # inside the window
+        Migration(time_s=6.0 * 86_400.0, residual_fraction=0.3),
+        Outage(start_s=20 * 86_400.0, end_s=21 * 86_400.0),  # after the grid
+        WorkFromHome(start=date(2020, 1, 4)),
+        Holiday(first=date(2020, 1, 6), days=2),
+    )
+    MODELS = (
+        WorkplaceUsage(n_desktops=45, n_servers=3),
+        HomeEveningUsage(n_devices=30),
+        DynamicPoolUsage(pool_size=120),
+        ServerFarmUsage(n_servers=200, maintenance_rate_per_day=0.05),
+        NatGatewayUsage(n_routers=5),
+        SparseUsage(n_addresses=60, mean_on_days=0.4, mean_off_days=0.5),  # churn
+        SparseUsage(n_addresses=9),
+        FirewalledUsage(eb_addresses=20),
+    )
+
+    @staticmethod
+    def both_truths(usage, col_times, calendar, first_col, seed=0):
+        """Both paths from one seed: equal truths and generator end states."""
+        rng_fast = np.random.default_rng(seed)
+        rng_slow = np.random.default_rng(seed)
+        fast = usage.generate(rng_fast, col_times, calendar, first_col=first_col)
+        slow = usage.generate_reference(rng_slow, col_times, calendar, first_col=first_col)
+        assert np.array_equal(fast.addresses, slow.addresses)
+        assert fast.active.shape == slow.active.shape
+        assert np.array_equal(fast.active, slow.active)
+        assert np.array_equal(fast.col_times, slow.col_times)
+        assert rng_fast.bit_generator.state == rng_slow.bit_generator.state
+        return fast
+
+    @pytest.mark.parametrize("tz", [-8.0, 0.0, 8.0])
+    @pytest.mark.parametrize("usage", MODELS, ids=lambda u: type(u).__name__)
+    def test_models_windows_and_timezones(self, usage, tz):
+        """Every model, at the first, a mid-day, a local-midnight and the last column."""
+        cal = Calendar(epoch=EPOCH, tz_hours=tz, events=self.EVENTS)
+        local_midnight = int(np.ceil((3 * 86_400.0 - tz * 3600.0) / 660.0))
+        assert cal.local_second_of_day(self.GRID[local_midnight]) < 660.0
+        for first_col in (0, 400, local_midnight, self.GRID.size - 1, self.GRID.size):
+            for seed in range(2):
+                self.both_truths(usage, self.GRID, cal, first_col, seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_randomized_churn(self, seed):
+        """Churn-range renewal parameters, grids and windows at random."""
+        rng = np.random.default_rng(seed)
+        usage = SparseUsage(
+            n_addresses=int(rng.integers(24, 80)),
+            mean_on_days=float(rng.uniform(0.4, 1.4)),
+            mean_off_days=float(rng.uniform(0.5, 2.0)),
+        )
+        grid = round_grid(float(rng.uniform(1.0, 40.0)) * 86_400.0)
+        cal = Calendar(epoch=EPOCH, tz_hours=float(rng.integers(-8, 9)), events=self.EVENTS)
+        self.both_truths(usage, grid, cal, int(rng.integers(0, grid.size)), seed)
+
+    def test_short_speculative_draw_grows(self, monkeypatch):
+        """Spans drawn one at a time at first: the draw grows until it spans the grid."""
+        monkeypatch.setattr(SparseUsage, "_span_guess", lambda self, duration: 1)
+        cal = Calendar(epoch=EPOCH, events=self.EVENTS)
+        usage = SparseUsage(n_addresses=12, mean_on_days=0.3, mean_off_days=0.2)
+        truth = self.both_truths(usage, self.GRID, cal, 500)
+        assert truth.active.any() and not truth.active.all()
+
+    def test_empty_grid(self):
+        cal = Calendar(epoch=EPOCH, events=self.EVENTS)
+        for usage in self.MODELS:
+            truth = self.both_truths(usage, round_grid(0.0), cal, 0)
+            assert truth.active.shape == (usage.eb_size(), 0)
+
+    def test_world_window_truth_owns_its_columns(self):
+        """A window truth is window-sized, not a view of an epoch-origin matrix."""
+        world = WorldModel(scenario_covid2020(), n_blocks=60, seed=3, diurnal_boost=3.0)
+        start, duration = 20 * 86_400.0, 14 * 86_400.0
+        first_col = int(start // 660.0)
+        for spec in world.blocks[:30]:
+            full = world.truth(spec, start + duration)
+            window = world.truth(spec, duration, start_s=start)
+            assert window.active.base is None
+            assert window.active.shape == (full.n_addresses, full.n_cols - first_col)
+            assert np.array_equal(window.active, full.active[:, first_col:])
+            assert np.array_equal(window.col_times, full.col_times[first_col:])
+            assert np.array_equal(window.addresses, full.addresses)
 
 
 class TestFullScanEquivalence:

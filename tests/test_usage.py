@@ -53,6 +53,11 @@ class TestBlockTruth:
         assert shifted.column_of(shifted.col_times[0]) == 0
         assert shifted.column_of(shifted.col_times[3] + 1.0) == 3
 
+    def test_column_of_without_columns_raises(self):
+        truth, _ = generate(NatGatewayUsage(n_routers=2), days=0)
+        with pytest.raises(ValueError, match="without columns"):
+            truth.column_of(0.0)
+
     def test_addresses_unique(self):
         truth, _ = generate(WorkplaceUsage(n_desktops=50))
         assert len(np.unique(truth.addresses)) == truth.n_addresses
@@ -166,3 +171,21 @@ class TestOtherModels:
     def test_eb_size_capped_at_block_size(self):
         usage = ServerFarmUsage(n_servers=250, stale_addresses=20)
         assert usage.eb_size() == 256
+
+    @pytest.mark.parametrize(
+        "usage",
+        [
+            WorkplaceUsage(n_desktops=10),
+            HomeEveningUsage(n_devices=8),
+            DynamicPoolUsage(pool_size=32),
+            ServerFarmUsage(n_servers=20),
+            NatGatewayUsage(n_routers=3),
+            SparseUsage(n_addresses=6),
+            FirewalledUsage(eb_addresses=9),
+        ],
+        ids=lambda u: type(u).__name__,
+    )
+    def test_empty_grid_gives_empty_truth(self, usage):
+        truth, _ = generate(usage, days=0)
+        assert truth.active.shape == (usage.eb_size(), 0)
+        assert truth.n_cols == 0 and not truth.ever_responsive()
