@@ -8,7 +8,6 @@
     repro export [directory]   # write campaign results as CSV/GeoJSON (S2.9)
     REPRO_SCALE=200 repro fig8 # scale the simulated world down/up
     repro --workers 4 table2   # fan block analysis out over 4 processes
-    repro --workers 4 --shm fig3 # zero-copy shared-memory dispatch tier
     repro --shards 8 fig3      # stream 8 shards, spilling results to disk
     repro --cache .cache fig3  # reuse per-block results across invocations
     repro --metrics fig3       # print per-stage engine instrumentation
@@ -93,28 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "content-addressed per-block result cache rooted at DIR "
             "(sets REPRO_CACHE); repeated runs over unchanged worlds "
             "reuse stored analyses instead of re-simulating"
-        ),
-    )
-    parser.add_argument(
-        "--batched",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=(
-            "columnar batched dispatch of the analysis tail (sets "
-            "REPRO_BATCHED; on by default, results are identical either "
-            "way — use --no-batched to force per-block dispatch)"
-        ),
-    )
-    parser.add_argument(
-        "--shm",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=(
-            "zero-copy shared-memory dispatch (sets REPRO_SHM; off by "
-            "default, needs --workers > 1): arrays are published once "
-            "into shm segments and workers attach read-only views, with "
-            "one persistent pool reused across dispatches — results are "
-            "byte-identical to every other path"
         ),
     )
     parser.add_argument(
@@ -265,10 +242,6 @@ def main(argv: list[str] | None = None) -> int:
         envconfig.set_env("REPRO_SHARDS", str(args.shards))
     if args.cache is not None:
         envconfig.set_env("REPRO_CACHE", args.cache)
-    if args.batched is not None:
-        envconfig.set_env("REPRO_BATCHED", "1" if args.batched else "0")
-    if args.shm is not None:
-        envconfig.set_env("REPRO_SHM", "1" if args.shm else "0")
     if args.metrics or args.trace is not None:
         # these runs print/persist the pool payload section, so turn the
         # (re-pickling) payload accounting on unless explicitly set

@@ -339,10 +339,9 @@ class DatasetBuilder:
     ) -> Reconstruction:
         """Simulate one block's observers and reconstruct its count series.
 
-        This is the front half of :meth:`analyze_block` (simulate,
-        repair, combine, reconstruct); the batched runtime path fans it
-        out per block and regroups the reconstructions into matrix
-        batches for the analysis tail.
+        This is the front half of :meth:`analyze_block` (truth, simulate,
+        repair, combine, reconstruct).  :meth:`reconstruct_blocks` runs
+        it for a block range, probing the range in lockstep.
         """
         ds = dataset(ds) if isinstance(ds, str) else ds
         pipeline = pipeline or self.pipeline
@@ -499,10 +498,11 @@ class DatasetBuilder:
         """Analyze a whole dataset (all world blocks unless given).
 
         Blocks are dispatched through ``engine`` (the ``REPRO_WORKERS``
-        default when not given) as one :class:`BlockAnalysisJob` per
-        block; firewalled blocks short-circuit inside the job.  The
-        engine's :class:`~repro.runtime.engine.RunMetrics` lands on the
-        returned result.
+        default when not given) to one :class:`BlockAnalysisJob`, which
+        the engine calls once per contiguous block range; firewalled
+        blocks short-circuit inside the job.  The engine's
+        :class:`~repro.runtime.engine.RunMetrics` lands on the returned
+        result.
         """
         ds = dataset(ds) if isinstance(ds, str) else ds
         blocks = list(self.world.blocks) if blocks is None else blocks

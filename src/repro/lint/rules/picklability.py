@@ -8,8 +8,8 @@ becomes unpicklable — and the failure only shows up at runtime, on the
 parallel path, after a fallback warning.
 
 This rule inspects every class whose name ends in ``Job`` (the repo's
-dispatch convention — ``BlockAnalysisJob``, ``BatchTailJob``,
-``_ScanTimeJob``, ...) and flags attributes that capture:
+dispatch convention — ``BlockAnalysisJob``, ``_ScanTimeJob``, ...)
+and flags attributes that capture:
 
 * a ``lambda`` (dataclass field default, ``field(default=lambda...)``,
   or ``self.x = lambda ...``);
@@ -19,12 +19,12 @@ dispatch convention — ``BlockAnalysisJob``, ``BatchTailJob``,
 * a live shared-memory resource: a ``SharedMemory(...)`` handle, a
   ``memoryview(...)``, or a segment buffer (``self.x = seg.buf``).
 
-The shared-memory cases exist for the shm dispatch tier
-(:mod:`repro.runtime.shm`): a job must carry only plain-data
-*descriptors* (:class:`~repro.runtime.shm.ArrayDescriptor`) across the
-pool — live handles and buffer views are process-local, pickle either
-not at all or into something that no longer aliases the segment, and
-would tie a task's lifetime to a mapping the parent is about to unlink.
+The shared-memory cases are plain picklability: a job that needs a
+segment must carry a plain-data *descriptor* (name, shape, dtype) and
+attach per call.  Live handles and buffer views are process-local; they
+pickle either not at all or into something that no longer aliases the
+segment, and they would tie a task's lifetime to a mapping its owner
+may unlink at any time.
 
 ``field(default_factory=...)`` is fine — the factory runs at init time
 and only its *result* is stored.
@@ -152,8 +152,8 @@ def _method_violations(cls: ast.ClassDef, path: str) -> list[Violation]:
     "picklability",
     "*Job classes may not capture lambdas, nested functions, open "
     "handles, or live shared-memory resources (SharedMemory handles, "
-    "memoryviews, segment buffers) in their attributes — shm crosses "
-    "the pool as descriptors only",
+    "memoryviews, segment buffers) in their attributes — a job carries "
+    "plain data only",
 )
 def check(ctx: "LintContext") -> list[Violation]:
     violations: list[Violation] = []

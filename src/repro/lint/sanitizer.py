@@ -4,25 +4,17 @@ REP006 proves statically that every acquisition *site* is dominated by
 a release; this module proves dynamically that no acquisition
 *instance* outlives its owner.  When enabled (``REPRO_SANITIZE=1``, or
 an explicit :func:`install`), it patches the runtime's acquisition and
-release choke points with a tracking registry:
+release choke points with a tracking registry: spill directories —
+``SpillDir.__init__`` registers, the module's ``_remove_tree`` (shared
+by ``cleanup()`` and the finalizer) unregisters.  Process pools need no
+tracking: :class:`~repro.runtime.executors.ParallelExecutor` spawns one
+per ``map()`` inside a ``with`` block.
 
-* shm segments — ``SharedArrayPool._new_segment`` registers, the
-  pool's ``_release_segments`` (also its GC finalizer) unregisters;
-* persistent process pools — ``SharedMemoryExecutor._ensure_pool``
-  registers, ``_teardown_pool`` unregisters;
-* spill directories — ``SpillDir.__init__`` registers, the module's
-  ``_remove_tree`` (shared by ``cleanup()`` and the finalizer)
-  unregisters.
-
-Enforcement happens at two boundaries:
-
-* **engine close** — ``CampaignEngine.close`` additionally asserts
-  that the closed executor holds no live pool and that the segments
-  its last map published are gone, raising :class:`ResourceLeakError`
-  otherwise;
-* **process exit** — an ``atexit`` hook (and the pytest
-  ``sessionfinish`` hook in ``tests/conftest.py``) collects garbage,
-  then fails the process if *anything* is still live.
+Enforcement happens at **process exit**: an ``atexit`` hook (and the
+pytest ``sessionfinish`` hook in ``tests/conftest.py``) collects
+garbage, then fails the process if *anything* is still live;
+:meth:`ResourceSanitizer.assert_clean` checks the same at any boundary
+a caller chooses.
 
 The patches are reversible (:func:`ResourceSanitizer.uninstall`) and
 all runtime imports are lazy: ``lint`` must stay loadable — and
@@ -109,10 +101,6 @@ class ResourceSanitizer:
             resources = [r for r in resources if r.kind == kind]
         return sorted(resources, key=lambda r: (r.kind, r.name))
 
-    def is_live(self, kind: str, name: str) -> bool:
-        with self._lock:
-            return (kind, name) in self._live
-
     def report(self) -> str:
         resources = self.live()
         if not resources:
@@ -140,53 +128,9 @@ class ResourceSanitizer:
         if self._installed:
             return
         # lazy: lint stays import-light and layer-clean (REP007)
-        from ..runtime import engine as engine_mod
-        from ..runtime import executors as executors_mod
-        from ..runtime import shm as shm_mod
         from ..runtime import spill as spill_mod
 
         sanitizer = self
-
-        # shm segments ------------------------------------------------
-        orig_new_segment = shm_mod.SharedArrayPool._new_segment
-
-        def new_segment(self: Any, min_bytes: int) -> Any:
-            seg = orig_new_segment(self, min_bytes)
-            sanitizer.register("shm-segment", seg.name)
-            return seg
-
-        orig_release_segments = shm_mod.SharedArrayPool.__dict__["_release_segments"]
-
-        def release_segments(segments: list[Any]) -> None:
-            names = [seg.name for seg in segments]
-            orig_release_segments.__func__(segments)
-            for name in names:
-                sanitizer.unregister("shm-segment", name)
-
-        self._patch(shm_mod.SharedArrayPool, "_new_segment", new_segment)
-        self._patch(
-            shm_mod.SharedArrayPool, "_release_segments", staticmethod(release_segments)
-        )
-
-        # persistent pools ---------------------------------------------
-        orig_ensure_pool = executors_mod.SharedMemoryExecutor._ensure_pool
-        orig_teardown_pool = executors_mod.SharedMemoryExecutor._teardown_pool
-
-        def ensure_pool(self: Any) -> Any:
-            before = self._pool
-            pool = orig_ensure_pool(self)
-            if pool is not None and pool is not before:
-                sanitizer.register("process-pool", _pool_name(pool))
-            return pool
-
-        def teardown_pool(self: Any) -> None:
-            pool = self._pool
-            orig_teardown_pool(self)
-            if pool is not None:
-                sanitizer.unregister("process-pool", _pool_name(pool))
-
-        self._patch(executors_mod.SharedMemoryExecutor, "_ensure_pool", ensure_pool)
-        self._patch(executors_mod.SharedMemoryExecutor, "_teardown_pool", teardown_pool)
 
         # spill directories --------------------------------------------
         orig_spill_init = spill_mod.SpillDir.__init__
@@ -203,16 +147,6 @@ class ResourceSanitizer:
         self._patch(spill_mod.SpillDir, "__init__", spill_init)
         self._patch(spill_mod, "_remove_tree", remove_tree)
 
-        # engine-close boundary ----------------------------------------
-        orig_engine_close = engine_mod.CampaignEngine.close
-
-        def engine_close(self: Any) -> None:
-            executor = self.executor
-            orig_engine_close(self)
-            sanitizer.check_engine_close(executor)
-
-        self._patch(engine_mod.CampaignEngine, "close", engine_close)
-
         self._installed = True
         if not self._atexit_registered:
             self._atexit_registered = True
@@ -226,37 +160,6 @@ class ResourceSanitizer:
         with self._lock:
             self._live.clear()
         self._installed = False
-
-    # -- boundaries ---------------------------------------------------
-    def check_engine_close(self, executor: Any) -> None:
-        """Scoped post-close assertion for one engine's executor.
-
-        The executor must hold no live pool, and the segments its most
-        recent map published must be gone.  Scoped (rather than
-        "nothing live anywhere") so closing one engine cannot trip over
-        a neighbour's in-flight resources.
-        """
-        leaks: list[TrackedResource] = []
-        pool = getattr(executor, "_pool", None)
-        if pool is not None and self.is_live("process-pool", _pool_name(pool)):
-            leaks.extend(
-                r for r in self.live("process-pool") if r.name == _pool_name(pool)
-            )
-        for name in getattr(executor, "last_segments", []) or []:
-            if self.is_live("shm-segment", name):
-                leaks.extend(
-                    r for r in self.live("shm-segment") if r.name == name
-                )
-        if leaks:
-            raise ResourceLeakError(
-                f"{len(leaks)} resource(s) leaked past engine close "
-                f"({executor!r}):\n"
-                + "\n".join(f"  - {resource}" for resource in leaks)
-            )
-
-
-def _pool_name(pool: Any) -> str:
-    return f"pool-0x{id(pool):x}"
 
 
 def _atexit_check(sanitizer: ResourceSanitizer) -> None:

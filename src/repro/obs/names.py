@@ -31,16 +31,12 @@ METRICS = frozenset(
         "cache.hit",
         "cache.miss",
         "cache.store",
-        "engine.batched.blocks",
-        "engine.batched.chunks",
-        "engine.batched.groups",
         "engine.run_wall_s",
         "engine.shards",
         "engine.tasks",
         "executor.chunk_size",
         "executor.fallbacks",
         "executor.payload.result_bytes",
-        "executor.payload.shm_bytes",
         "executor.payload.task_bytes",
         "executor.pool_spawns",
         "executor.pool_workers",

@@ -15,7 +15,7 @@ Design constraints, in order:
 * **Never break the campaign.**  Any ``OSError`` on the sink disables
   the emitter after a single warning; records are best-effort.
 * **Never touch result bytes.**  The emitter observes completion counts
-  only; serial/parallel/batched byte-identity is unaffected.
+  only; serial/parallel/sharded byte-identity is unaffected.
 * **Cheap when off.**  The ambient default is :class:`NoopProgress`
   whose methods are empty; the per-result hook is one attribute call.
 

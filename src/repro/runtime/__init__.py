@@ -5,17 +5,15 @@ embarrassingly parallel per-block map.  This package is the single
 seam through which the repo drives that map:
 
 * :class:`~repro.runtime.executors.Executor` — the pluggable mapping
-  strategy (:class:`SerialExecutor`, process-pool
-  :class:`ParallelExecutor` with chunked dispatch and serial fallback,
-  and the zero-copy :class:`SharedMemoryExecutor` — a persistent pool
-  fed by :mod:`~repro.runtime.shm` array descriptors);
+  strategy (:class:`SerialExecutor`, and the process-pool
+  :class:`ParallelExecutor` with chunked dispatch and serial fallback);
 * :class:`~repro.runtime.engine.CampaignEngine` — runs an iterable of
   block tasks through an executor and aggregates per-stage
   :class:`~repro.core.stages.StageRecord` instrumentation into
   :class:`~repro.runtime.engine.RunMetrics`;
 * :class:`~repro.runtime.jobs.BlockAnalysisJob` — the picklable
-  simulate-observe-analyze task the dataset builder and the campaign
-  protocol both dispatch.
+  simulate-observe-analyze range task the dataset builder and the
+  campaign protocol both dispatch, one contiguous block range per call.
 
 ``REPRO_WORKERS=N`` (or ``repro --workers N``) selects the default
 executor process-wide; see :func:`~repro.runtime.engine.default_engine`.
@@ -39,35 +37,23 @@ from .engine import (
     drain_run_log,
     peek_run_log,
 )
-from .executors import (
-    Executor,
-    ParallelExecutor,
-    SerialExecutor,
-    SharedMemoryExecutor,
-)
-from .jobs import BatchTailJob, BlockAnalysisJob, BlockReconstructJob, ReconstructedBlock
+from .executors import Executor, ParallelExecutor, SerialExecutor
+from .jobs import BlockAnalysisJob
 from .sharding import ShardPlan, resolve_shards
-from .shm import ArrayDescriptor, SharedArrayPool
 from .spill import SpillDir, SpilledResults
 
 __all__ = [
     "AnalysisCache",
-    "ArrayDescriptor",
-    "BatchTailJob",
     "BlockAnalysisJob",
-    "BlockReconstructJob",
     "BlockResult",
     "CACHE_SCHEMA",
     "CampaignEngine",
     "EngineRun",
     "Executor",
     "ParallelExecutor",
-    "ReconstructedBlock",
     "RunMetrics",
     "SerialExecutor",
     "ShardPlan",
-    "SharedArrayPool",
-    "SharedMemoryExecutor",
     "ShippedResult",
     "SpillDir",
     "SpilledResults",

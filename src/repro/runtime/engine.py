@@ -29,12 +29,7 @@ from ..obs.resources import ResourceTracker, cpu_seconds, format_bytes, peak_rss
 from ..obs.trace import NoopTracer, SpanRecord, Tracer, get_tracer, use_tracer
 from . import envconfig
 from .cache import AnalysisCache, default_cache
-from .executors import (
-    Executor,
-    ParallelExecutor,
-    SerialExecutor,
-    SharedMemoryExecutor,
-)
+from .executors import Executor, ParallelExecutor, SerialExecutor
 from .sharding import ShardPlan, resolve_shards
 from .spill import SpillDir, SpilledResults
 
@@ -91,21 +86,20 @@ class TracedCall:
     fn: Callable[[Any], Any]
     trace_id: str
     parent_id: str
-    #: span name per task — "block" for per-block jobs, "batch" for the
-    #: batched path's per-chunk tail calls; None for block-range tasks,
-    #: which open one "block" span per block themselves (so block-span
-    #: accounting still counts exactly one span per block)
-    span_name: str | None = "block"
+    #: block-range tasks open one "block" span per block themselves (so
+    #: block-span accounting still counts exactly one span per block);
+    #: every other task gets one "block" span here
+    ranged: bool = False
 
     def __call__(self, task: Any) -> ShippedResult:
         tracer = Tracer(trace_id=self.trace_id, root_parent_id=self.parent_id)
         with scoped_registry() as registry, use_tracer(tracer):
             cpu_start = cpu_seconds()
-            if self.span_name is None:
+            if self.ranged:
                 value = self.fn(task)
                 n_items = max(len(value), 1)
             else:
-                with tracer.span(self.span_name, attrs={"pid": os.getpid()}):
+                with tracer.span("block", attrs={"pid": os.getpid()}):
                     value = self.fn(task)
                 n_items = 1
             # per-worker accounting rides home in the meter snapshot:
@@ -198,7 +192,6 @@ class RunMetrics:
     fallback: str | None = None
     meters: dict[str, Any] | None = None  # merged registry snapshot (traced runs)
     cache: dict[str, int] | None = None  # hits/misses/stores (cached runs only)
-    batched: dict[str, int] | None = None  # blocks/groups/chunks (batched runs only)
     resources: dict[str, Any] | None = None  # cpu/rss/pool-payload accounting
     shards: dict[str, int] | None = None  # shard count + spill totals (sharded runs)
 
@@ -229,14 +222,16 @@ class RunMetrics:
             "fallback": self.fallback,
             "meters": self.meters,
             "cache": self.cache,
-            "batched": self.batched,
             "resources": self.resources,
             "shards": self.shards,
         }
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "RunMetrics":
-        """Rebuild from :meth:`as_dict` output (e.g. a saved trace)."""
+        """Rebuild from :meth:`as_dict` output (e.g. a saved trace).
+
+        Keys this version no longer writes (``batched``) are ignored, so
+        older ``run.json`` files still load."""
         return cls(
             label=d["label"],
             executor=d["executor"],
@@ -250,7 +245,6 @@ class RunMetrics:
             fallback=d.get("fallback"),
             meters=d.get("meters"),
             cache=d.get("cache"),  # absent in pre-cache saved traces
-            batched=d.get("batched"),  # absent in pre-batching saved traces
             resources=d.get("resources"),  # absent in pre-resource saved traces
             shards=d.get("shards"),  # absent in pre-sharding saved traces
         )
@@ -267,7 +261,7 @@ class RunMetrics:
         """Lossless fold of per-shard run metrics into one campaign record.
 
         Additive sections sum (tasks, wall, stage tables, funnel, cache,
-        batched, pool payload); meter snapshots merge through the
+        pool payload); meter snapshots merge through the
         registry's own snapshot/merge semantics (counters add, max
         gauges max, histograms fold element-wise); process-level RSS
         peaks take the max across shards, since shards share one
@@ -297,11 +291,6 @@ class RunMetrics:
             out.cache = {
                 key: sum((p.cache or {}).get(key, 0) for p in parts)
                 for key in ("hits", "misses", "stores")
-            }
-        if any(p.batched is not None for p in parts):
-            out.batched = {
-                key: sum((p.batched or {}).get(key, 0) for p in parts)
-                for key in ("blocks", "groups", "chunks")
             }
         res_parts = [p.resources for p in parts if p.resources is not None]
         if res_parts:
@@ -350,12 +339,6 @@ class RunMetrics:
                 f"  cache: {hits}/{looked} hits ({rate:.0f}%), "
                 f"{self.cache.get('stores', 0)} stored"
             )
-        if self.batched is not None:
-            lines.append(
-                f"  batched: {self.batched.get('blocks', 0)} blocks in "
-                f"{self.batched.get('groups', 0)} grid groups, "
-                f"{self.batched.get('chunks', 0)} chunks"
-            )
         if self.shards is not None:
             lines.append(
                 f"  shards: merged {self.shards.get('shards', 0)} shards, "
@@ -381,14 +364,11 @@ class RunMetrics:
                 )
             pool = res.get("pool")
             if pool:
-                line = (
+                lines.append(
                     f"  pool: {format_bytes(pool.get('task_bytes', 0))} payload out, "
                     f"{format_bytes(pool.get('result_bytes', 0))} results back "
                     f"over {pool.get('maps', 0)} dispatches"
                 )
-                if "shm_bytes" in pool:
-                    line += f", {format_bytes(pool.get('shm_bytes', 0))} via shm"
-                lines.append(line)
             workers = res.get("workers")
             if workers:
                 lines.append(
@@ -420,24 +400,8 @@ class _TracedDispatch:
     parent_id: str
 
 
-def _chunk_group(
-    members: list[tuple[int, Any]], workers: int, min_rows: int = 8
-) -> list[list[tuple[int, Any]]]:
-    """Split one grid group into tail-job chunks.
-
-    Serial execution keeps the whole group as one chunk (maximum batch
-    width); a parallel executor gets about two chunks per worker so the
-    pool load-balances, but never chunks below ``min_rows`` — tiny
-    batches forfeit the columnar win to dispatch overhead.
-    """
-    if workers <= 1 or len(members) <= min_rows:
-        return [members]
-    size = max(-(-len(members) // (workers * 2)), min_rows)
-    return [members[i : i + size] for i in range(0, len(members), size)]
-
-
 def _block_ranges(tasks: list[Any], workers: int) -> list[tuple[Any, ...]]:
-    """Split phase A's tasks into contiguous ranges, one per worker.
+    """Split a range job's tasks into contiguous ranges, one per worker.
 
     A serial executor gets the whole list as one range, so every block
     of the run (or shard) can join one lockstep probing batch; a pool
@@ -448,57 +412,6 @@ def _block_ranges(tasks: list[Any], workers: int) -> list[tuple[Any, ...]]:
     return [tuple(tasks[i : i + size]) for i in range(0, len(tasks), size)]
 
 
-def _resolve_batched(value: bool | None) -> bool:
-    """Resolve the batched-dispatch setting (``REPRO_BATCHED`` when None).
-
-    Unset or empty means on — batching is the default because results
-    are identical to per-block dispatch.  Garbage values warn and keep
-    the default rather than silently changing execution.
-    """
-    if value is not None:
-        return bool(value)
-    raw = envconfig.raw("REPRO_BATCHED")
-    if not raw:
-        return True
-    lowered = raw.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    warnings.warn(
-        f"REPRO_BATCHED={raw!r} is not a boolean; batching stays on",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return True
-
-
-def _resolve_shm(value: bool | None) -> bool:
-    """Resolve the shared-memory dispatch setting (``REPRO_SHM`` when None).
-
-    Unset or empty means **off** — the shm tier is opt-in (``--shm``)
-    while the pickle path remains the battle-tested default.  Garbage
-    values warn and keep the default rather than silently changing
-    execution.
-    """
-    if value is not None:
-        return bool(value)
-    raw = envconfig.raw("REPRO_SHM")
-    if not raw:
-        return False
-    lowered = raw.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    warnings.warn(
-        f"REPRO_SHM={raw!r} is not a boolean; shm dispatch stays off",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return False
-
-
 def _merge_resources(parts: "Sequence[dict[str, Any]]") -> dict[str, Any]:
     """Fold per-shard resource summaries into one campaign summary.
 
@@ -506,8 +419,7 @@ def _merge_resources(parts: "Sequence[dict[str, Any]]") -> dict[str, Any]:
     add while RSS peaks max (the high-water mark is process-wide); the
     ``rss_bytes`` point sample is the last shard's (the most recent).
     Pool payload counters and worker aggregates are additive, except
-    worker RSS peaks which also max (pool workers persist across
-    shards under the shm tier).
+    worker RSS peaks which also max.
     """
     wall_s = sum(p.get("wall_s", 0.0) for p in parts)
     cpu_s = sum(p.get("cpu_s", 0.0) for p in parts)
@@ -573,32 +485,30 @@ class CampaignEngine:
         batched: bool | None = None,
         shards: int | None = None,
     ) -> None:
-        """``batched`` selects the columnar dispatch path for jobs that
-        support it (``fn.batched_split()``); ``None`` defers to the
-        ``REPRO_BATCHED`` environment variable (the CLI's ``--batched`` /
-        ``--no-batched``), which defaults to on.  ``shards`` partitions
-        each run's task list into contiguous ranges streamed one at a
-        time with results spilled to disk between shards; ``None``
-        defers to ``REPRO_SHARDS`` (the CLI's ``--shards``), defaulting
-        to unsharded.  Results are identical either way — the flags only
-        change how the work is executed."""
+        """``shards`` partitions each run's task list into contiguous
+        ranges streamed one at a time with results spilled to disk
+        between shards; ``None`` defers to ``REPRO_SHARDS`` (the CLI's
+        ``--shards``), defaulting to unsharded.  Results are identical
+        either way — the setting only changes how the work is executed.
+
+        ``batched`` may only be ``True`` or ``None`` (the one dispatch
+        shape there is); ``False`` asked for per-block dispatch, which no
+        longer exists, and raises ``ValueError``."""
+        if batched is not None and not batched:
+            raise ValueError(
+                "per-block dispatch was removed: range jobs always run the "
+                "batched analysis tail (pass batched=True or omit it)"
+            )
         self.executor: Executor = executor or SerialExecutor()
         self.cache = cache
-        self.batched = _resolve_batched(batched)
         self.shards = resolve_shards(shards)
         self.history: list[RunMetrics] = []
         self._stripes: dict[str, AnalysisCache] = {}
 
     def close(self) -> None:
-        """Release executor-held resources (idempotent).
-
-        Only the shm tier holds any: its persistent worker pool lives
-        until this call (or GC).  Serial/parallel engines close to a
-        no-op, so generic callers may always use the context manager.
-        """
-        closer = getattr(self.executor, "close", None)
-        if callable(closer):
-            closer()
+        """Nothing to release: executors shut their pools down inside
+        ``map()``.  Kept so callers may use the engine as a context
+        manager."""
 
     def __enter__(self) -> "CampaignEngine":
         return self
@@ -647,14 +557,13 @@ class CampaignEngine:
         process-wide registry.  Tracing never touches task results:
         serial and parallel runs stay byte-identical with it on or off.
 
-        When the engine is :attr:`batched` and ``fn`` exposes
-        ``batched_split()``, dispatch happens in two phases inside this
-        one run: the reconstruct phase maps over contiguous block ranges
-        (probed in lockstep), survivors regroup by shared sample grid
-        into matrix chunks, and the batch phase maps the tail job over
-        the chunks.  Cache keys and results are those of the per-block
-        path, byte for byte, and stage records keep its shape;
-        :attr:`RunMetrics.batched` records what was regrouped.
+        When ``fn`` is a range job (its class sets ``range_job``, as
+        :class:`~repro.runtime.jobs.BlockAnalysisJob` does), the pending
+        tasks are split into contiguous ranges — one per run (or shard)
+        when serial, about one per worker on a pool — and ``fn`` is
+        called once per range, returning one result per task in order.
+        Cache keys stay per task.  Any other callable is mapped task by
+        task.
         """
         tasks = list(tasks)
         plan = ShardPlan.plan(self.shards, len(tasks))
@@ -678,8 +587,6 @@ class CampaignEngine:
         out of ``history`` and the module run log — only the merged
         campaign record lands there."""
         tracer = get_tracer() if tracer is None else tracer
-        use_batched = self.batched and hasattr(fn, "batched_split")
-
         tracker = ResourceTracker()
         payload_before = self._payload_snapshot()
         start = time.perf_counter()
@@ -698,21 +605,14 @@ class CampaignEngine:
         try:
             pending_tasks = [tasks[i] for i in pending]
             if not tracer.enabled:
-                if use_batched:
-                    computed, batched_stats = self._dispatch_batched(fn, pending_tasks)
-                else:
-                    computed = self._map_tasks(fn, pending_tasks, None, "block")
-                    batched_stats = None
+                computed = self._dispatch(fn, pending_tasks, None)
                 wall_s = time.perf_counter() - start
                 results = self._merge_results(len(tasks), hits, pending, computed)
                 metrics = self._aggregate(results, label=label, wall_s=wall_s)
-                metrics.batched = batched_stats
                 stores = self._store_results(keys, pending, computed)
                 metrics.cache = self._cache_stats(keys, hits, pending, stores)
                 if metrics.cache is not None:
                     self._emit_cache_counters(get_registry(), metrics.cache)
-                if batched_stats is not None:
-                    self._emit_batched_counters(get_registry(), batched_stats)
                 metrics.resources = self._finish_resources(
                     tracker, payload_before, meters=None
                 )
@@ -727,7 +627,6 @@ class CampaignEngine:
                     keys=keys,
                     hits=hits,
                     pending=pending,
-                    use_batched=use_batched,
                     tracker=tracker,
                     payload_before=payload_before,
                 )
@@ -769,8 +668,7 @@ class CampaignEngine:
         """Stream ``tasks`` through the engine one shard at a time.
 
         Each shard runs on a single-shard sub-engine sharing this
-        engine's executor (so the shm tier's persistent pool survives
-        across shards) and its own cache stripe; completed shard results
+        engine's executor and its own cache stripe; completed shard results
         spill to disk immediately, bounding coordinator RSS by one
         shard's working set.  The spill directory is owned here: written
         by this coordinator, deleted by this coordinator on failure, and
@@ -785,9 +683,7 @@ class CampaignEngine:
         try:
             with progress.campaign_scope(label, total=len(tasks), n_shards=plan.n_shards):
                 for i, (lo, hi) in enumerate(plan.ranges):
-                    sub = CampaignEngine(
-                        self.executor, self._stripe_cache(i), self.batched, shards=1
-                    )
+                    sub = CampaignEngine(self.executor, self._stripe_cache(i), shards=1)
                     with progress.shard_scope(i, lo), tracer.tagged(
                         shard=i, shards=plan.n_shards
                     ):
@@ -909,7 +805,6 @@ class CampaignEngine:
         keys: list[str | None] | None,
         hits: dict[int, Any],
         pending: list[int],
-        use_batched: bool = False,
         tracker: ResourceTracker | None = None,
         payload_before: dict[str, int] | None = None,
     ) -> tuple[list[Any], RunMetrics]:
@@ -923,24 +818,14 @@ class CampaignEngine:
             traced = _TracedDispatch(
                 tracer=tracer, registry=merged, parent_id=span.span_id
             )
-            pending_tasks = [tasks[i] for i in pending]
-            if use_batched:
-                computed, batched_stats = self._dispatch_batched(
-                    fn, pending_tasks, traced
-                )
-            else:
-                computed = self._map_tasks(fn, pending_tasks, traced, "block")
-                batched_stats = None
+            computed = self._dispatch(fn, [tasks[i] for i in pending], traced)
             wall_s = time.perf_counter() - started
             results = self._merge_results(len(tasks), hits, pending, computed)
             metrics = self._aggregate(results, label=label, wall_s=wall_s)
-            metrics.batched = batched_stats
             stores = self._store_results(keys, pending, computed)
             metrics.cache = self._cache_stats(keys, hits, pending, stores)
             if metrics.cache is not None:
                 self._emit_cache_counters(merged, metrics.cache)
-            if batched_stats is not None:
-                self._emit_batched_counters(merged, batched_stats)
             merged.counter("engine.tasks").inc(len(results))
             merged.histogram("engine.run_wall_s").observe(wall_s)
             for key, n in metrics.funnel.items():
@@ -989,15 +874,10 @@ class CampaignEngine:
                 for k in payload_after
             }
             if delta.get("maps", 0) > 0:
-                pool_delta = {
-                    "fn_bytes": delta.get("fn_bytes", 0),
-                    "task_bytes": delta.get("task_bytes", 0),
-                    "result_bytes": delta.get("result_bytes", 0),
-                    "maps": delta.get("maps", 0),
+                res["pool"] = {
+                    key: delta.get(key, 0)
+                    for key in ("fn_bytes", "task_bytes", "result_bytes", "maps")
                 }
-                if "shm_bytes" in delta:  # the shm tier's published bytes
-                    pool_delta["shm_bytes"] = delta.get("shm_bytes", 0)
-                res["pool"] = pool_delta
         if meters is not None:
             workers: dict[str, Any] = {}
             cpu = meters.get("resources.worker.cpu_s")
@@ -1016,24 +896,45 @@ class CampaignEngine:
         registry.histogram("resources.cpu_s").observe(res.get("cpu_s", 0.0))
         registry.max_gauge("resources.rss_peak_bytes").set(res.get("rss_peak_bytes", 0))
 
-    # -- batched dispatch ---------------------------------------------------
+    # -- dispatch -----------------------------------------------------------
+    def _dispatch(
+        self,
+        fn: Callable[[Any], Any],
+        tasks: list[Any],
+        traced: "_TracedDispatch | None",
+    ) -> list[Any]:
+        """Run ``fn`` over ``tasks``: one call per block range for range
+        jobs (flattened back to one result per task), one per task
+        otherwise."""
+        if not getattr(fn, "range_job", False):
+            return self._map_tasks(fn, tasks, traced, ranged=False)
+        workers = getattr(self.executor, "workers", 1)
+        ranges = _block_ranges(tasks, workers)
+        return [
+            result
+            for results in self._map_tasks(fn, ranges, traced, ranged=True)
+            for result in results
+        ]
+
     def _map_tasks(
         self,
         fn: Callable[[Any], Any],
         tasks: list[Any],
         traced: "_TracedDispatch | None",
-        span_name: str | None,
-        weigh: Callable[[Any], int] = lambda result: 1,
+        *,
+        ranged: bool,
     ) -> list[Any]:
         """One executor fan-out, through :class:`TracedCall` when traced.
 
-        Every completed result ticks the ambient progress emitter by
-        ``weigh(result)`` blocks: 1 for per-block fan-outs, the range
-        length for block-range tasks, and 0 for the batched tail phase
-        (whose blocks were already counted by phase A), so ``done``
-        converges to the task total exactly once per block.
+        Every completed result ticks the ambient progress emitter by the
+        blocks it covers — the range length for block-range tasks, 1
+        otherwise — so ``done`` converges to the task total exactly once
+        per block.
         """
         progress = get_progress()
+
+        def weigh(result: Any) -> int:
+            return len(result) if ranged else 1
 
         def on_result(result: Any) -> None:
             progress.tick(weigh(result))
@@ -1044,7 +945,7 @@ class CampaignEngine:
             fn=fn,
             trace_id=traced.tracer.trace_id,
             parent_id=traced.parent_id,
-            span_name=span_name,
+            ranged=ranged,
         )
 
         def on_shipped(shipped: Any) -> None:
@@ -1057,70 +958,6 @@ class CampaignEngine:
             traced.registry.merge(s.meters)
             values.append(s.value)
         return values
-
-    def _dispatch_batched(
-        self,
-        fn: Callable[[Any], Any],
-        pending_tasks: list[Any],
-        traced: "_TracedDispatch | None" = None,
-    ) -> tuple[list[Any], dict[str, int]]:
-        """Two-phase dispatch: range reconstruction, then batched tails.
-
-        Phase A maps the reconstruct job over contiguous block ranges —
-        one range when serial, about one per worker on a pool — so each
-        range probes its blocks in lockstep; the job opens one ``block``
-        span per block, exactly like per-block dispatch.  Tasks that
-        short-circuited already hold their final result; the rest
-        regroup by shared sample grid, are chunked to keep a parallel
-        executor's pool busy, and phase B maps the tail job over the
-        chunks (one ``batch`` span each).  Slot order is preserved, so
-        the caller merges results exactly as in the per-block path.
-        """
-        recon_fn, tail_fn = fn.batched_split()
-        workers = getattr(self.executor, "workers", 1)
-        produced = [
-            item
-            for results in self._map_tasks(
-                recon_fn, _block_ranges(pending_tasks, workers), traced, None, len
-            )
-            for item in results
-        ]
-        slots: list[Any] = [None] * len(produced)
-        survivors: list[tuple[int, Any]] = []
-        for i, item in enumerate(produced):
-            if isinstance(item, BlockResult):
-                slots[i] = item  # firewalled short-circuit: already final
-            else:
-                survivors.append((i, item))
-        groups: dict[bytes, list[tuple[int, Any]]] = {}
-        for i, rb in survivors:
-            grid = rb.reconstruction.counts.times.tobytes()
-            groups.setdefault(grid, []).append((i, rb))
-        chunks: list[list[tuple[int, Any]]] = []
-        for members in groups.values():
-            chunks.extend(_chunk_group(members, workers))
-        computed = self._map_tasks(
-            tail_fn,
-            [tuple(rb for _, rb in c) for c in chunks],
-            traced,
-            "batch",
-            lambda result: 0,  # phase A already counted these blocks as done
-        )
-        for members, block_results in zip(chunks, computed):
-            for (i, _), result in zip(members, block_results):
-                slots[i] = result
-        stats = {
-            "blocks": len(survivors),
-            "groups": len(groups),
-            "chunks": len(chunks),
-        }
-        return slots, stats
-
-    @staticmethod
-    def _emit_batched_counters(registry: MetricsRegistry, stats: dict[str, int]) -> None:
-        registry.counter("engine.batched.blocks").inc(stats["blocks"])
-        registry.counter("engine.batched.groups").inc(stats["groups"])
-        registry.counter("engine.batched.chunks").inc(stats["chunks"])
 
     # -- aggregation -------------------------------------------------------
     def _aggregate(self, results: list[Any], *, label: str, wall_s: float) -> RunMetrics:
@@ -1174,12 +1011,6 @@ def default_engine() -> CampaignEngine:
     ``REPRO_CACHE=DIR`` (the CLI's ``--cache DIR``) additionally attaches
     the content-addressed analysis cache rooted at that directory.
 
-    ``REPRO_SHM`` (the CLI's ``--shm``) upgrades a multi-worker pool to
-    the zero-copy shared-memory tier (one persistent pool per engine,
-    descriptors instead of array pickles).  It needs ``workers > 1`` to
-    mean anything; with a serial worker count the flag warns and the
-    engine stays serial.
-
     ``REPRO_SHARDS`` (the CLI's ``--shards N``) is resolved by the
     engine itself: each run streams through N contiguous shards with
     results spilled to disk between them, bounding coordinator RSS.
@@ -1204,16 +1035,6 @@ def default_engine() -> CampaignEngine:
             )
             workers = 1
     cache = default_cache()
-    use_shm = _resolve_shm(None)
     if workers <= 1:
-        if use_shm:
-            warnings.warn(
-                "REPRO_SHM requested but REPRO_WORKERS <= 1; "
-                "shared-memory dispatch needs a pool — running serial",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         return CampaignEngine(SerialExecutor(), cache)
-    if use_shm:
-        return CampaignEngine(SharedMemoryExecutor(workers=workers), cache)
     return CampaignEngine(ParallelExecutor(workers=workers), cache)

@@ -83,27 +83,6 @@ REGISTRY: tuple[EnvVar, ...] = (
         "(CLI --cache)",
     ),
     EnvVar(
-        "REPRO_BATCHED",
-        "bool",
-        "1",
-        "columnar batched dispatch of the analysis tail (CLI --batched / "
-        "--no-batched)",
-    ),
-    EnvVar(
-        "REPRO_SHM",
-        "bool",
-        "0",
-        "zero-copy shared-memory dispatch tier; needs workers > 1 "
-        "(CLI --shm)",
-    ),
-    EnvVar(
-        "REPRO_SHM_MIN_BYTES",
-        "int",
-        "4096",
-        "arrays smaller than this are pickled inline instead of published "
-        "to shm",
-    ),
-    EnvVar(
         "REPRO_SPILL_DIR",
         "path",
         "system temp dir",
@@ -147,9 +126,8 @@ REGISTRY: tuple[EnvVar, ...] = (
         "REPRO_SANITIZE",
         "bool",
         "0",
-        "install the runtime ResourceSanitizer: track shm segments, "
-        "process pools, and spill dirs; fail on leaks at engine close "
-        "and process exit",
+        "install the runtime ResourceSanitizer: track spill dirs; fail "
+        "on leaks at process exit",
     ),
 )
 

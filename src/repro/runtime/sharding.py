@@ -11,8 +11,10 @@ next shard starts.
 Contiguity is the identity-preserving property: concatenating per-shard
 result lists in shard order reproduces exactly the slot order of an
 unsharded run, so ``--shards 1``, ``--shards N``, and the unsharded
-path yield byte-identical experiment outputs the same way
-serial/parallel/batched/shm dispatch already do.
+path yield byte-identical experiment outputs the same way serial and
+parallel dispatch already do.  Within a shard the engine still splits
+the tasks into block ranges for its range jobs, so a shard is simply a
+smaller run.
 
 ``REPRO_SHARDS`` (the CLI's ``--shards N``) selects the shard count the
 same way ``REPRO_WORKERS`` selects the executor: unset, empty, ``0`` or
@@ -83,8 +85,8 @@ def resolve_shards(value: int | None) -> int:
     Unset or empty means ``1`` — sharding is opt-in because the spill
     round-trip costs disk I/O that tiny worlds do not need.  A value
     that is not an integer, or is negative, also means ``1`` — but
-    loudly, via ``warnings.warn``, matching the ``REPRO_WORKERS`` /
-    ``REPRO_SHM`` resolution style.
+    loudly, via ``warnings.warn``, matching the ``REPRO_WORKERS``
+    resolution style.
     """
     if value is not None:
         return max(int(value), 1)

@@ -17,8 +17,7 @@ Layout — four ``.npy`` files per shard, every one loadable with
   result: where its blob lives.
 * ``shard-NN.arrays.npy`` — ``uint8`` concatenation of the raw bytes of
   every large array.  The pickler externalises them with the
-  persistent-id protocol (the same move :func:`repro.runtime.shm.shm_dumps`
-  makes for shared memory), so blobs stay small and the array payload is
+  persistent-id protocol, so blobs stay small and the array payload is
   read straight off the memory map on access.
 * ``shard-NN.arrmeta.npy`` — structured ``(offset, nbytes, dtype, ndim,
   shape)`` row per externalised array.
@@ -26,8 +25,7 @@ Layout — four ``.npy`` files per shard, every one loadable with
 Rehydrated results are byte-identical to the originals under
 ``pickle.dumps``: externalised arrays come back as plain C-contiguous
 ``np.ndarray`` objects re-viewed onto the process-canonical dtype
-singleton (the ``_canonical_dtype_view`` rule from
-:mod:`repro.runtime.jobs`), never as ``np.memmap`` views.
+singleton (:func:`_canonical_dtype_view`), never as ``np.memmap`` views.
 
 Ownership follows one rule — **the coordinator writes, the coordinator
 deletes** (docs/dev.md): the engine creates the spill directory, cleans
@@ -93,14 +91,13 @@ def resolve_spill_parent() -> str | None:
 
 
 def _canonical_dtype_view(arr: np.ndarray) -> np.ndarray:
-    # Same rule as repro.runtime.jobs._canonical_dtype_view (not imported
-    # to keep this module free of the jobs -> engine import cycle):
-    # re-viewing onto ``arr.dtype.type`` interns the dtype singleton so
-    # rehydrated graphs pickle byte-identically to in-memory ones.
-    # Unlike the jobs version (applied to known float fields only), this
-    # one sees arbitrary spilled arrays, so it must skip dtypes the bare
-    # scalar type cannot reproduce — parametric units (``M8[s]``) and
-    # non-native byteorder — where the view would reinterpret the data.
+    # Arrays rebuilt from raw bytes carry a dtype *instance* distinct
+    # from numpy's interned singleton; re-viewing onto ``arr.dtype.type``
+    # restores the singleton so rehydrated graphs pickle byte-identically
+    # to in-memory ones (same values, same memo structure).  Spilled
+    # arrays are arbitrary, so dtypes the bare scalar type cannot
+    # reproduce — parametric units (``M8[s]``) and non-native byteorder —
+    # are left alone, where the view would reinterpret the data.
     if np.dtype(arr.dtype.type) == arr.dtype:
         return arr.view(arr.dtype.type)
     return arr

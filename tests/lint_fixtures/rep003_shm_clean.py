@@ -1,14 +1,26 @@
-# REP003 clean: a job carrying only plain-data shm descriptors.
+# REP003 clean: a job carrying only a plain-data shared-memory descriptor.
 from dataclasses import dataclass
+from multiprocessing import shared_memory
 
-from repro.runtime.shm import ArrayDescriptor, attach_view
+import numpy as np
+
+
+@dataclass(frozen=True)
+class SegmentRef:
+    name: str  # segment name/shape/dtype: plain data
+    shape: tuple[int, ...]
+    dtype: str
 
 
 @dataclass(frozen=True)
 class DescriptorTailJob:
-    desc: ArrayDescriptor  # name/shape/dtype/offset record: plain data
+    desc: SegmentRef
     scale: float = 1.0
 
     def __call__(self, _task):
-        view = attach_view(self.desc)  # attached per call, never stored
-        return float(view.sum()) * self.scale
+        seg = shared_memory.SharedMemory(name=self.desc.name)  # attached per call
+        try:
+            view = np.ndarray(self.desc.shape, dtype=self.desc.dtype, buffer=seg.buf)
+            return float(view.sum()) * self.scale
+        finally:
+            seg.close()

@@ -12,9 +12,9 @@ def workers():
     return os.getenv("REPRO_WORKERS", "1")
 
 
-def enable_batched():
-    os.environ["REPRO_BATCHED"] = "1"
+def enable_payload_accounting():
+    os.environ["REPRO_PAYLOAD_ACCOUNTING"] = "1"
 
 
 def from_import_reads():
-    return environ.get("REPRO_CACHE"), getenv("REPRO_SHM")
+    return environ.get("REPRO_CACHE"), getenv("REPRO_SPILL_DIR")

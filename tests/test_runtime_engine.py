@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
 
 import repro.runtime.executors as executors_mod
 from repro.core.pipeline import BlockPipeline
-from repro.core.stages import PIPELINE_STAGES
+from repro.cli import main as cli_main
+from repro.core.stages import PIPELINE_STAGES, StageContext
 import repro.datasets.builder as builder_mod
-from repro.datasets.builder import DatasetBuilder
+from repro.datasets.builder import DatasetBuilder, unresponsive_analysis
 from repro.datasets.catalog import dataset
 from repro.net.world import WorldModel, scenario_covid2020
 from repro.obs.metrics import scoped_registry
@@ -20,7 +22,9 @@ from repro.runtime import (
     BlockResult,
     CampaignEngine,
     ParallelExecutor,
+    RunMetrics,
     SerialExecutor,
+    StageTotals,
     default_engine,
     stable_token,
     task_key,
@@ -103,6 +107,33 @@ class TestRunMetrics:
         # observation simulation is the hot path; the record must exist
         assert serial_result.metrics.stages["simulate"].calls > 0
 
+    def test_legacy_run_json_still_loads(self, serial_result, tmp_path, capsys):
+        # a run.json saved before the batched section and the shm tier
+        # were removed carries both; it must load and render without them
+        legacy = serial_result.metrics.as_dict()
+        legacy["batched"] = {"blocks": 150, "groups": 1, "chunks": 2}
+        legacy["resources"] = dict(
+            legacy["resources"],
+            pool={
+                "fn_bytes": 512,
+                "task_bytes": 2048,
+                "result_bytes": 4096,
+                "shm_bytes": 54886,
+                "maps": 2,
+            },
+        )
+        metrics = RunMetrics.from_dict(json.loads(json.dumps(legacy)))
+        assert metrics.funnel == serial_result.metrics.funnel
+        assert "batched" not in metrics.as_dict()
+        text = metrics.report()
+        assert "pool: 2.0 KiB payload out, 4.0 KiB results back over 2 dispatches" in text
+        assert "batched:" not in text and "via shm" not in text
+
+        (tmp_path / "run.json").write_text(json.dumps({"label": "legacy"}))
+        (tmp_path / "metrics.jsonl").write_text(json.dumps(legacy) + "\n")
+        assert cli_main(["report", str(tmp_path)]) == 0
+        assert text in capsys.readouterr().out
+
 
 class TestFallback:
     def test_pool_spawn_failure_falls_back_to_serial(self, monkeypatch, world200):
@@ -154,6 +185,12 @@ class TestEngineGenerics:
         with pytest.raises(ValueError, match="bad task"):
             engine.run(_explode, list(range(8)), label="explode")
 
+    def test_engine_close_is_noop_for_serial_and_parallel(self):
+        for executor in (SerialExecutor(), ParallelExecutor(workers=2)):
+            with CampaignEngine(executor) as engine:
+                assert engine.run(_square, [1, 2, 3], label="x").results == [1, 4, 9]
+            engine.close()  # idempotent
+
 
 class TestDefaultEngine:
     def test_unset_is_serial(self, monkeypatch):
@@ -179,8 +216,8 @@ class TestBlockAnalysisJob:
         )
         clone = pickle.loads(pickle.dumps(job))
         spec = next(s for s in world200.blocks if s.responsive_by_design)
-        a = job(spec)
-        b = clone(spec)
+        (a,) = job((spec,))
+        (b,) = clone((spec,))
         assert isinstance(a, BlockResult)
         assert pickle.dumps(a.analysis) == pickle.dumps(b.analysis)
 
@@ -189,7 +226,7 @@ class TestBlockAnalysisJob:
             world=world200, ds=dataset(DATASET), pipeline=BlockPipeline()
         )
         spec = next(s for s in world200.blocks if not s.responsive_by_design)
-        result = job(spec)
+        (result,) = job((spec,))
         assert not result.analysis.classification.responsive
         assert all(r.skipped == "firewalled" for r in result.stages)
 
@@ -325,136 +362,141 @@ def _explode(x: int) -> int:
     return x
 
 
-class TestBatchedDispatch:
-    """The batched columnar path must be invisible in every output."""
-
-    @pytest.fixture(scope="class")
-    def per_block_result(self, world200):
-        engine = CampaignEngine(SerialExecutor(), batched=False)
-        result = DatasetBuilder(world200).analyze(DATASET, engine=engine)
-        assert result.metrics.batched is None
-        return result
-
-    def test_batched_serial_matches_per_block(self, serial_result, per_block_result):
-        # serial_result runs through the batched default path
-        assert serial_result.metrics.batched is not None
-        assert list(serial_result.analyses) == list(per_block_result.analyses)
-        for cidr, analysis in serial_result.analyses.items():
-            assert pickle.dumps(analysis) == pickle.dumps(
-                per_block_result.analyses[cidr]
-            ), f"batched diverged from per-block for {cidr}"
-
-    def test_batched_parallel_matches_per_block(self, world200, per_block_result):
-        engine = CampaignEngine(ParallelExecutor(workers=2), batched=True)
-        result = DatasetBuilder(world200).analyze(DATASET, engine=engine)
-        assert engine.executor.fallback_reason is None
-        stats = result.metrics.batched
-        assert stats is not None and stats["chunks"] > 1  # genuinely fanned out
-        for cidr, analysis in result.analyses.items():
-            assert pickle.dumps(analysis) == pickle.dumps(
-                per_block_result.analyses[cidr]
-            ), f"parallel batched diverged from per-block for {cidr}"
-
-    def test_stage_records_match_per_block(self, serial_result, per_block_result):
-        batched = serial_result.metrics
-        scalar = per_block_result.metrics
-        for name in PIPELINE_STAGES:
-            b, s = batched.stages[name], scalar.stages[name]
-            assert (b.calls, b.n_in, b.n_out, b.skips) == (
-                s.calls,
-                s.n_in,
-                s.n_out,
-                s.skips,
-            ), name
-
-    def test_batched_stats_shape(self, serial_result):
-        stats = serial_result.metrics.batched
-        assert set(stats) == {"blocks", "groups", "chunks"}
-        # every non-firewalled block survives reconstruction; one shared
-        # grid -> one group; serial execution -> one chunk per group
-        assert stats["blocks"] > 0
-        assert stats["groups"] == stats["chunks"] == 1
-
-    def test_metrics_roundtrip_carries_batched(self, serial_result):
-        from repro.runtime import RunMetrics
-
-        metrics = serial_result.metrics
-        again = RunMetrics.from_dict(metrics.as_dict())
-        assert again.batched == metrics.batched
-        assert "batched:" in again.report()
-
-    def test_split_jobs_are_picklable(self, world200):
-        job = BlockAnalysisJob(
-            world=world200, ds=dataset(DATASET), pipeline=BlockPipeline()
-        )
-        recon_fn, tail_fn = job.batched_split()
-        # WorldModel has identity equality; compare via the stable token
-        assert stable_token(pickle.loads(pickle.dumps(recon_fn))) == stable_token(
-            recon_fn
-        )
-        assert pickle.loads(pickle.dumps(tail_fn)) == tail_fn
-
-    def test_firewalled_short_circuits_reconstruction(self, world200):
-        from repro.runtime import BlockReconstructJob
-
-        spec = next(s for s in world200.blocks if not s.responsive_by_design)
-        job = BlockReconstructJob(
-            world=world200, ds=dataset(DATASET), pipeline=BlockPipeline()
-        )
-        (result,) = job((spec,))
-        assert isinstance(result, BlockResult)
-        assert all(r.skipped for r in result.stages)
-
-    def test_cache_is_path_agnostic(self, world200, serial_result, tmp_path):
-        # a cache written by the per-block path must be served verbatim
-        # by the batched path (same keys, same bytes) — and hits must
-        # bypass both phases.
-        cache = AnalysisCache(tmp_path)
-        cold = CampaignEngine(SerialExecutor(), cache=cache, batched=False)
-        first = DatasetBuilder(world200).analyze(DATASET, engine=cold)
-        assert cold.history[-1].cache["misses"] == 200
-        warm = CampaignEngine(SerialExecutor(), cache=cache, batched=True)
-        second = DatasetBuilder(world200).analyze(DATASET, engine=warm)
-        assert warm.history[-1].cache["hits"] == 200
-        # hits bypass both phases: nothing was reconstructed or chunked
-        assert warm.history[-1].batched == {"blocks": 0, "groups": 0, "chunks": 0}
-        for cidr, analysis in second.analyses.items():
-            assert pickle.dumps(analysis) == pickle.dumps(first.analyses[cidr])
-
-    def test_env_var_controls_default(self, monkeypatch):
-        from repro.runtime.engine import _resolve_batched
-
-        monkeypatch.delenv("REPRO_BATCHED", raising=False)
-        assert _resolve_batched(None) is True
-        for raw, expected in [
-            ("1", True),
-            ("true", True),
-            ("ON", True),
-            ("0", False),
-            ("no", False),
-            ("Off", False),
-            ("", True),
-        ]:
-            monkeypatch.setenv("REPRO_BATCHED", raw)
-            assert _resolve_batched(None) is expected, raw
-        # explicit argument beats the environment
-        monkeypatch.setenv("REPRO_BATCHED", "0")
-        assert _resolve_batched(True) is True
-
-    def test_garbage_env_warns_and_defaults_on(self, monkeypatch):
-        from repro.runtime.engine import _resolve_batched
-
-        monkeypatch.setenv("REPRO_BATCHED", "sideways")
-        with pytest.warns(RuntimeWarning, match="REPRO_BATCHED"):
-            assert _resolve_batched(None) is True
-
-
 def _analysis_bytes(result) -> dict[str, bytes]:
     return {cidr: pickle.dumps(a) for cidr, a in result.analyses.items()}
 
 
+def _oracle(world, specs, observer_style="adaptive"):
+    """The direct per-block oracle: each block analysed on its own.
+
+    Returns ``(analysis bytes by cidr, stage totals, metrics snapshot)``.
+    Responsive blocks run ``DatasetBuilder.analyze_block`` on a fresh
+    builder (the scalar tail, no engine, no batching); firewalled blocks
+    get the constant unresponsive analysis and skip every stage.
+    """
+    ds = dataset(DATASET)
+    blobs: dict[str, bytes] = {}
+    totals: dict[str, StageTotals] = {}
+    with scoped_registry() as meters:
+        for spec in specs:
+            ctx = StageContext()
+            if spec.responsive_by_design:
+                builder = DatasetBuilder(world, observer_style=observer_style)
+                analysis = builder.analyze_block(spec, ds, ctx=ctx)
+            else:
+                analysis = unresponsive_analysis()
+                for name in PIPELINE_STAGES:
+                    ctx.skip(name, "firewalled")
+            blobs[spec.block.cidr] = pickle.dumps(analysis)
+            for record in ctx.records:
+                totals.setdefault(record.name, StageTotals()).add(record)
+    return blobs, totals, meters.snapshot()
+
+
+def _assert_stages_match(stages, expected):
+    """Stage calls, sizes and skips equal the oracle's (wall time aside)."""
+    assert set(stages) == set(expected)
+    for name, want in expected.items():
+        got = stages[name]
+        assert (got.calls, got.n_in, got.n_out, got.skips) == (
+            want.calls,
+            want.n_in,
+            want.n_out,
+            want.skips,
+        ), name
+
+
+class TestBatchedDispatch:
+    """The fused range job must be invisible in every output: each block's
+    analysis equals the direct per-block oracle's, byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self, world200):
+        return _oracle(world200, list(world200.blocks))
+
+    def test_batched_serial_matches_per_block(self, serial_result, oracle):
+        expected = oracle[0]
+        assert list(serial_result.analyses) == list(expected)
+        for cidr, blob in _analysis_bytes(serial_result).items():
+            assert blob == expected[cidr], f"serial diverged from the oracle for {cidr}"
+
+    def test_batched_parallel_matches_per_block(self, world200, oracle):
+        engine = CampaignEngine(ParallelExecutor(workers=2))
+        result = DatasetBuilder(world200).analyze(DATASET, engine=engine)
+        assert engine.executor.fallback_reason is None
+        assert _analysis_bytes(result) == oracle[0]
+
+    def test_stage_records_match_per_block(self, serial_result, oracle):
+        _assert_stages_match(serial_result.metrics.stages, oracle[1])
+
+    def test_batched_stats_shape(self, world200):
+        # grid grouping happens inside the range job: one "batch" span per
+        # (range, grid), covering exactly the range's responsive blocks
+        from repro.obs.trace import Tracer, use_tracer
+
+        n_live = sum(s.responsive_by_design for s in world200.blocks)
+        for executor, n_ranges in ((SerialExecutor(), 1), (ParallelExecutor(workers=2), 2)):
+            tracer = Tracer()
+            with use_tracer(tracer):
+                DatasetBuilder(world200).analyze(DATASET, engine=CampaignEngine(executor))
+            batches = [s for s in tracer.finished if s.name == "batch"]
+            assert len(batches) == n_ranges  # one shared grid per range
+            assert sum(b.attrs["n_blocks"] for b in batches) == n_live
+
+    def test_firewalled_short_circuits_reconstruction(self, world200, monkeypatch):
+        firewalled = next(s for s in world200.blocks if not s.responsive_by_design)
+        live = next(s for s in world200.blocks if s.responsive_by_design)
+        seen = []
+        reconstruct = DatasetBuilder.reconstruct_blocks
+
+        def spy(self, specs, *args, **kwargs):
+            seen.append([s.block.cidr for s in specs])
+            return reconstruct(self, specs, *args, **kwargs)
+
+        monkeypatch.setattr(DatasetBuilder, "reconstruct_blocks", spy)
+        job = BlockAnalysisJob(
+            world=world200, ds=dataset(DATASET), pipeline=BlockPipeline()
+        )
+        results = job((firewalled, live))
+        assert [r.key for r in results] == [firewalled.block.cidr, live.block.cidr]
+        assert seen == [[live.block.cidr]]  # only the live block reconstructs
+        assert all(r.skipped == "firewalled" for r in results[0].stages)
+        assert not any(r.skipped == "firewalled" for r in results[1].stages)
+
+    def test_cache_is_path_agnostic(self, world200, serial_result, tmp_path):
+        # a cache written by a serial run must be served verbatim to a
+        # pool and to a sharded run (same keys, same bytes), and hits
+        # must bypass the job entirely
+        DatasetBuilder(world200).analyze(
+            DATASET, engine=CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path))
+        )
+        expected = _analysis_bytes(serial_result)
+        pool = ParallelExecutor(workers=2)
+        for engine in (
+            CampaignEngine(pool, AnalysisCache(tmp_path)),
+            CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path), shards=2),
+        ):
+            warm = DatasetBuilder(world200).analyze(DATASET, engine=engine)
+            assert warm.metrics.cache == {"hits": 200, "misses": 0, "stores": 0}
+            assert all(t.calls == 0 for t in warm.metrics.stages.values())
+            assert _analysis_bytes(warm) == expected
+        assert pool.payload["maps"] == 0  # nothing left to dispatch
+
+    def test_one_pool_spawn_per_analyze(self, world200):
+        with scoped_registry() as meters:
+            DatasetBuilder(world200).analyze(
+                DATASET, engine=CampaignEngine(ParallelExecutor(workers=2))
+            )
+        assert meters.snapshot()["executor.pool_spawns"]["value"] == 1
+
+    def test_per_block_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="per-block dispatch was removed"):
+            CampaignEngine(batched=False)
+        CampaignEngine(batched=True)  # the one dispatch shape: accepted
+
+
 class TestRangeDispatch:
-    """Phase A probes contiguous block ranges in lockstep, invisibly."""
+    """Range jobs probe contiguous block ranges in lockstep, invisibly."""
 
     @pytest.fixture(scope="class")
     def world(self) -> WorldModel:
@@ -476,14 +518,12 @@ class TestRangeDispatch:
 
     @pytest.fixture(scope="class")
     def per_block(self, world, tasks):
-        with scoped_registry() as meters:
-            engine = CampaignEngine(SerialExecutor(), batched=False)
-            result = DatasetBuilder(world).analyze(DATASET, blocks=tasks, engine=engine)
-        return result, meters.snapshot()
+        return _oracle(world, tasks)
 
-    def _run(self, world, tasks, engine):
+    def _run(self, world, tasks, engine, observer_style="adaptive"):
         with scoped_registry() as meters:
-            result = DatasetBuilder(world).analyze(DATASET, blocks=tasks, engine=engine)
+            builder = DatasetBuilder(world, observer_style=observer_style)
+            result = builder.analyze(DATASET, blocks=tasks, engine=engine)
         return result, meters.snapshot()
 
     @pytest.mark.parametrize("budget_blocks", [None, 3])
@@ -495,9 +535,9 @@ class TestRangeDispatch:
             # batches, some narrow enough to probe lane by lane
             n_cols = int(dataset(DATASET).duration_s // 660) + 2
             monkeypatch.setattr(builder_mod, "LOCKSTEP_TABLE_BYTES", budget_blocks * 64 * n_cols)
-        result, meters = self._run(world, tasks, CampaignEngine(SerialExecutor(), batched=True))
-        expected, expected_meters = per_block
-        assert _analysis_bytes(result) == _analysis_bytes(expected)
+        result, meters = self._run(world, tasks, CampaignEngine(SerialExecutor()))
+        expected, expected_stages, expected_meters = per_block
+        assert _analysis_bytes(result) == expected
         for name in ("probes.sent.trinocular", "probes.positive.trinocular"):
             assert meters[name]["value"] == expected_meters[name]["value"] > 0
         assert meters["prober.batch.lanes"]["count"] >= 1
@@ -506,13 +546,11 @@ class TestRangeDispatch:
         # per-block stage records keep their shape: truth carries the
         # block's |E(b)| and simulate its probe count, and every
         # responsive block records each once
-        for name in ("truth", "simulate"):
-            stage = result.metrics.stages[name]
-            assert stage.calls == expected.metrics.stages[name].calls > 0
-            assert stage.n_out == expected.metrics.stages[name].n_out
+        assert result.metrics.stages["simulate"].calls > 0
+        _assert_stages_match(result.metrics.stages, expected_stages)
 
     def test_pool_and_cached_shards_match_per_block(self, world, tasks, per_block, tmp_path):
-        expected = _analysis_bytes(per_block[0])
+        expected = per_block[0]
         pooled, _ = self._run(world, tasks, CampaignEngine(ParallelExecutor(workers=2)))
         assert _analysis_bytes(pooled) == expected
         split, _ = self._run(
@@ -521,19 +559,34 @@ class TestRangeDispatch:
         for cidr, blob in _analysis_bytes(split).items():
             assert blob == expected[cidr]
         for _ in range(2):  # cold, then warm from the cache
-            engine = CampaignEngine(
-                SerialExecutor(), cache=AnalysisCache(tmp_path), batched=True, shards=2
-            )
+            engine = CampaignEngine(SerialExecutor(), cache=AnalysisCache(tmp_path), shards=2)
             sharded, _ = self._run(world, tasks, engine)
             assert _analysis_bytes(sharded) == expected
         assert engine.history[-1].cache["hits"] == len(tasks)
 
+    @pytest.mark.parametrize("observer_style", ["adaptive", "bayesian"])
+    def test_observer_styles_match_per_block(self, world, observer_style, tmp_path):
+        blocks = list(world.blocks)[:20]
+        expected = _oracle(world, blocks, observer_style)[0]
+        engines = [
+            CampaignEngine(SerialExecutor()),
+            CampaignEngine(ParallelExecutor(workers=2)),
+        ]
+        engines += [  # cold, then warm from the cache
+            CampaignEngine(SerialExecutor(), cache=AnalysisCache(tmp_path), shards=2)
+            for _ in range(2)
+        ]
+        for engine in engines:
+            result, _ = self._run(world, blocks, engine, observer_style)
+            assert _analysis_bytes(result) == expected, engine.executor.name
+        assert engines[-1].history[-1].cache["hits"] == len(blocks)
+
     def test_one_block_ranges(self, world, per_block):
-        expected = _analysis_bytes(per_block[0])
+        expected = per_block[0]
         live = [s for s in world.blocks if s.responsive_by_design][:2]
         for engine in (
-            CampaignEngine(SerialExecutor(), batched=True),
-            CampaignEngine(ParallelExecutor(workers=2), batched=True),
+            CampaignEngine(SerialExecutor()),
+            CampaignEngine(ParallelExecutor(workers=2)),
         ):
             result, _ = self._run(world, live, engine)
             for cidr, blob in _analysis_bytes(result).items():
@@ -545,7 +598,7 @@ class TestRangeDispatch:
         tracer = Tracer()
         with use_tracer(tracer):
             DatasetBuilder(world).analyze(
-                DATASET, blocks=tasks, engine=CampaignEngine(SerialExecutor(), batched=True)
+                DATASET, blocks=tasks, engine=CampaignEngine(SerialExecutor())
             )
         campaign = next(s for s in tracer.finished if s.name == "campaign")
         blocks = [s for s in tracer.finished if s.name == "block"]
@@ -557,8 +610,6 @@ class TestRangeDispatch:
         assert all(s.parent_id in block_ids for s in simulate)
 
     def test_progress_done_reaches_total_once(self, world, tasks, tmp_path):
-        import json
-
         from repro.obs.progress import ProgressEmitter, use_progress
 
         emitter = ProgressEmitter(tmp_path, interval_s=0.0)
@@ -566,7 +617,7 @@ class TestRangeDispatch:
             DatasetBuilder(world).analyze(
                 DATASET,
                 blocks=tasks,
-                engine=CampaignEngine(ParallelExecutor(workers=2), batched=True),
+                engine=CampaignEngine(ParallelExecutor(workers=2)),
             )
         done = [json.loads(line)["done"] for line in emitter.path.read_text().splitlines()]
         assert done == sorted(done) and done[-1] == len(tasks)

@@ -4,7 +4,7 @@ The contract under test is the one docs/algorithms.md §16 states: a
 sharded run (``--shards N``) is an execution detail.  Plans partition
 tasks contiguously, spilled results rehydrate byte-identically, caches
 stay warm across re-sharding, and every experiment output matches the
-unsharded run under ``pickle.dumps`` — for serial, parallel, and shm
+unsharded run under ``pickle.dumps`` — for serial and parallel
 dispatch alike.
 """
 
@@ -336,6 +336,12 @@ def fig3_serial_bytes():
 
 
 class TestShardedByteIdentity:
+    def test_parallel_unsharded_matches(self, fig3_serial_bytes):
+        from repro.experiments import fig3
+
+        engine = CampaignEngine(ParallelExecutor(workers=2))
+        assert pickle.dumps(fig3.run(n_blocks=64, engine=engine)) == fig3_serial_bytes
+
     def test_serial_sharded_matches(self, fig3_serial_bytes):
         from repro.experiments import fig3
 
@@ -350,15 +356,6 @@ class TestShardedByteIdentity:
         assert engine.executor.fallback_reason is None
         assert pickle.dumps(result) == fig3_serial_bytes
 
-    def test_shm_sharded_matches(self, fig3_serial_bytes):
-        from repro.experiments import fig3
-        from repro.runtime import SharedMemoryExecutor
-
-        with CampaignEngine(SharedMemoryExecutor(workers=2), shards=2) as engine:
-            result = fig3.run(n_blocks=64, engine=engine)
-            assert engine.executor.fallback_reason is None
-        assert pickle.dumps(result) == fig3_serial_bytes
-
     def test_table2_sharded_matches(self):
         from repro.experiments import table2
 
@@ -369,6 +366,10 @@ class TestShardedByteIdentity:
             table2.run(n_blocks=48, engine=CampaignEngine(SerialExecutor(), shards=4))
         )
         assert sharded == serial
+        parallel = pickle.dumps(
+            table2.run(n_blocks=48, engine=CampaignEngine(ParallelExecutor(workers=2)))
+        )
+        assert parallel == serial
 
 
 # ---------------------------------------------------------------------------
