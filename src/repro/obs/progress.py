@@ -26,7 +26,7 @@ The ambient emitter mirrors the tracer pattern (:func:`get_progress` /
 ticks; start and finish records always emit, so every engine run leaves
 at least two heartbeats.
 
-Sharded campaigns (``--shards N``) wrap their per-shard sub-runs in
+Sharded campaigns (``--shards N``) wrap their shard ranges in
 :meth:`ProgressEmitter.campaign_scope` / :meth:`~ProgressEmitter.shard_scope`,
 so every record inside carries ``shard``/``shards`` plus campaign-global
 ``campaign_done``/``campaign_total`` and a campaign-rate ETA — the
@@ -145,12 +145,12 @@ class ProgressEmitter(NoopProgress):
 
     @contextmanager
     def campaign_scope(self, label: str, *, total: int, n_shards: int) -> Iterator[None]:
-        """Bracket a sharded campaign so per-shard runs report globally.
+        """Bracket a sharded campaign so its shard ranges report globally.
 
         Inside the scope, every record carries the shard id plus
         campaign-wide ``campaign_done``/``campaign_total`` and a
         campaign-rate ETA, so tailing operators see truthful global
-        throughput even though each shard brackets its own sub-run.
+        throughput even though each shard brackets its own range.
         """
         self._campaign = {
             "label": label,

@@ -17,6 +17,7 @@ import os
 import time
 import warnings
 from collections import deque
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Sequence
 
@@ -85,7 +86,7 @@ class TracedCall:
 
     fn: Callable[[Any], Any]
     trace_id: str
-    parent_id: str
+    parent_id: str | None
     #: block-range tasks open one "block" span per block themselves (so
     #: block-span accounting still counts exactly one span per block);
     #: every other task gets one "block" span here
@@ -143,17 +144,6 @@ class StageTotals:
         self.rss_delta += record.rss_delta
         self.n_in += record.n_in
         self.n_out += record.n_out
-
-    def merge(self, other: "StageTotals") -> None:
-        """Fold another run's totals for the same stage into this one."""
-        self.calls += other.calls
-        self.wall_s += other.wall_s
-        self.cpu_s += other.cpu_s
-        self.rss_delta += other.rss_delta
-        self.n_in += other.n_in
-        self.n_out += other.n_out
-        for reason, n in other.skips.items():
-            self.skips[reason] = self.skips.get(reason, 0) + n
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -248,54 +238,6 @@ class RunMetrics:
             resources=d.get("resources"),  # absent in pre-resource saved traces
             shards=d.get("shards"),  # absent in pre-sharding saved traces
         )
-
-    @classmethod
-    def merged(
-        cls,
-        parts: "Sequence[RunMetrics]",
-        *,
-        label: str,
-        executor: str,
-        shards: dict[str, int],
-    ) -> "RunMetrics":
-        """Lossless fold of per-shard run metrics into one campaign record.
-
-        Additive sections sum (tasks, wall, stage tables, funnel, cache,
-        pool payload); meter snapshots merge through the
-        registry's own snapshot/merge semantics (counters add, max
-        gauges max, histograms fold element-wise); process-level RSS
-        peaks take the max across shards, since shards share one
-        coordinator process.
-        """
-        out = cls(
-            label=label,
-            executor=executor,
-            n_tasks=sum(p.n_tasks for p in parts),
-            wall_s=sum(p.wall_s for p in parts),
-            shards=dict(shards),
-        )
-        for p in parts:
-            for name, totals in p.stages.items():
-                out.stages.setdefault(name, StageTotals()).merge(totals)
-            for key, n in p.funnel.items():
-                out.funnel[key] = out.funnel.get(key, 0) + n
-            if out.fallback is None:
-                out.fallback = p.fallback
-        if any(p.meters is not None for p in parts):
-            registry = MetricsRegistry()
-            for p in parts:
-                if p.meters:
-                    registry.merge(p.meters)
-            out.meters = registry.snapshot()
-        if any(p.cache is not None for p in parts):
-            out.cache = {
-                key: sum((p.cache or {}).get(key, 0) for p in parts)
-                for key in ("hits", "misses", "stores")
-            }
-        res_parts = [p.resources for p in parts if p.resources is not None]
-        if res_parts:
-            out.resources = _merge_resources(res_parts)
-        return out
 
     def report(self) -> str:
         """Aligned plain-text run report (the ``--metrics`` output)."""
@@ -397,7 +339,7 @@ class _TracedDispatch:
 
     tracer: Tracer
     registry: MetricsRegistry
-    parent_id: str
+    parent_id: str | None
 
 
 def _block_ranges(tasks: list[Any], workers: int) -> list[tuple[Any, ...]]:
@@ -412,47 +354,25 @@ def _block_ranges(tasks: list[Any], workers: int) -> list[tuple[Any, ...]]:
     return [tuple(tasks[i : i + size]) for i in range(0, len(tasks), size)]
 
 
-def _merge_resources(parts: "Sequence[dict[str, Any]]") -> dict[str, Any]:
-    """Fold per-shard resource summaries into one campaign summary.
+#: Table 1 funnel counters, in report order.
+_FUNNEL_KEYS = ("routed", "responsive", "diurnal", "wide_swing", "change_sensitive")
 
-    Shards run sequentially in one coordinator process, so wall and CPU
-    add while RSS peaks max (the high-water mark is process-wide); the
-    ``rss_bytes`` point sample is the last shard's (the most recent).
-    Pool payload counters and worker aggregates are additive, except
-    worker RSS peaks which also max.
-    """
-    wall_s = sum(p.get("wall_s", 0.0) for p in parts)
-    cpu_s = sum(p.get("cpu_s", 0.0) for p in parts)
-    out: dict[str, Any] = {
-        "wall_s": wall_s,
-        "cpu_s": cpu_s,
-        "cpu_utilization": cpu_s / wall_s if wall_s > 0.0 else 0.0,
-        "rss_bytes": parts[-1].get("rss_bytes", 0),
-        "rss_peak_bytes": max(p.get("rss_peak_bytes", 0) for p in parts),
-        "rss_peak_delta_bytes": max(p.get("rss_peak_delta_bytes", 0) for p in parts),
-    }
-    tm_parts = [p["tracemalloc"] for p in parts if p.get("tracemalloc")]
-    if tm_parts:
-        out["tracemalloc"] = {
-            "current_bytes": tm_parts[-1].get("current_bytes", 0),
-            "peak_bytes": max(t.get("peak_bytes", 0) for t in tm_parts),
-            "delta_bytes": sum(t.get("delta_bytes", 0) for t in tm_parts),
-        }
-    pool_parts = [p["pool"] for p in parts if p.get("pool")]
-    if pool_parts:
-        keys = {k for pool in pool_parts for k in pool}
-        out["pool"] = {k: sum(pool.get(k, 0) for pool in pool_parts) for k in keys}
-    worker_parts = [p["workers"] for p in parts if p.get("workers")]
-    if worker_parts:
-        workers: dict[str, Any] = {
-            "cpu_s": sum(w.get("cpu_s", 0.0) for w in worker_parts),
-            "tasks": sum(w.get("tasks", 0) for w in worker_parts),
-        }
-        rss_vals = [w["rss_peak_bytes"] for w in worker_parts if "rss_peak_bytes" in w]
-        if rss_vals:
-            workers["rss_peak_bytes"] = max(rss_vals)
-        out["workers"] = workers
-    return out
+
+def _fold_results(metrics: RunMetrics, results: list[Any]) -> None:
+    """Add the stage records and funnel counts of ``results`` to ``metrics``.
+
+    The funnel stays empty until the run has seen a :class:`BlockResult`."""
+    for result in results:
+        if not isinstance(result, BlockResult):
+            continue
+        for record in result.stages:
+            metrics.stages.setdefault(record.name, StageTotals()).add(record)
+        c = result.analysis.classification
+        counts = (1, 0, 0, 0, 0)
+        if c.responsive:
+            counts = (1, 1, c.is_diurnal, c.is_wide_swing, c.is_change_sensitive)
+        for key, n in zip(_FUNNEL_KEYS, counts):
+            metrics.funnel[key] = metrics.funnel.get(key, 0) + int(n)
 
 
 #: Bounded history of recent runs, drained by ``repro --metrics``.
@@ -503,7 +423,6 @@ class CampaignEngine:
         self.cache = cache
         self.shards = resolve_shards(shards)
         self.history: list[RunMetrics] = []
-        self._stripes: dict[str, AnalysisCache] = {}
 
     def close(self) -> None:
         """Nothing to release: executors shut their pools down inside
@@ -530,16 +449,19 @@ class CampaignEngine:
         :class:`BlockResult` contribute stage totals and funnel counters;
         other result types are simply counted and timed.
 
-        When the engine is sharded (``shards > 1``), the task list is
-        partitioned into contiguous ranges (:class:`ShardPlan`) streamed
-        one shard at a time; each completed shard's results spill to a
-        memory-mapped on-disk layout before the next shard starts, so
-        coordinator RSS is bounded by one shard's working set, not the
-        world.  Per-shard metrics merge losslessly into one
-        :class:`RunMetrics` and ``results`` comes back as a lazy
+        A run is one loop over the contiguous task ranges of a
+        :class:`ShardPlan`; an unsharded run is a single range whose
+        results stay in a list.  For each range the loop consults the
+        cache, dispatches the pending tasks, stores their results and
+        folds them into the run's stage totals and funnel.  When the
+        engine is sharded (``shards > 1``) each completed range's results
+        also spill to a memory-mapped on-disk layout before the next
+        range starts, so coordinator RSS is bounded by one shard's
+        working set, not the world, and ``results`` comes back as a lazy
         :class:`~repro.runtime.spill.SpilledResults` — contiguity makes
         the slot order, and therefore every downstream output, byte-
-        identical to an unsharded run.
+        identical to an unsharded run.  Either way the run has one
+        resource bracket and one :class:`RunMetrics`.
 
         When the engine has a cache and ``fn`` exposes a
         ``cache_key(task)`` method, each task's key is consulted before
@@ -550,12 +472,14 @@ class CampaignEngine:
         ``cache_key`` run uncached, as do tasks whose key comes back
         ``None`` (uncacheable inputs).
 
-        When the ambient (or given) tracer is enabled, the run opens a
+        When the ambient (or given) tracer is enabled, the run opens one
         ``campaign`` span, runs each task through :class:`TracedCall`
         so per-block spans and worker metric snapshots ship back, and
-        merges the snapshots into :attr:`RunMetrics.meters` and the
-        process-wide registry.  Tracing never touches task results:
-        serial and parallel runs stay byte-identical with it on or off.
+        collects the run's meters in its own registry, which lands in
+        :attr:`RunMetrics.meters` and merges into the process-wide
+        registry (untraced runs emit straight into the process-wide
+        one).  Tracing never touches task results: serial and parallel
+        runs stay byte-identical with it on or off.
 
         When ``fn`` is a range job (its class sets ``range_job``, as
         :class:`~repro.runtime.jobs.BlockAnalysisJob` does), the pending
@@ -566,175 +490,122 @@ class CampaignEngine:
         task.
         """
         tasks = list(tasks)
+        tracer = get_tracer() if tracer is None else tracer
         plan = ShardPlan.plan(self.shards, len(tasks))
-        if plan.n_shards <= 1:
-            return self._run_once(fn, tasks, label=label, tracer=tracer)
-        tracer = get_tracer() if tracer is None else tracer
-        return self._run_sharded(fn, tasks, label=label, tracer=tracer, plan=plan)
-
-    def _run_once(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: list[Any],
-        *,
-        label: str = "campaign",
-        tracer: Tracer | NoopTracer | None = None,
-        record: bool = True,
-    ) -> EngineRun:
-        """One unsharded engine run (the pre-sharding ``run`` body).
-
-        ``record=False`` keeps a sharded campaign's per-shard sub-runs
-        out of ``history`` and the module run log — only the merged
-        campaign record lands there."""
-        tracer = get_tracer() if tracer is None else tracer
         tracker = ResourceTracker()
         payload_before = self._payload_snapshot()
         start = time.perf_counter()
-        keys, hits, pending = self._consult_cache(fn, tasks)
+        metrics = RunMetrics(
+            label=label, executor=self.executor.name, n_tasks=len(tasks), wall_s=0.0
+        )
+        keyfn = getattr(fn, "cache_key", None) if self.cache is not None else None
+        if keyfn is not None:
+            metrics.cache = {"hits": 0, "misses": 0, "stores": 0}
+        # the spill directory is owned here: written by this coordinator,
+        # deleted by it on failure, and handed to the returned
+        # SpilledResults on success (whose finalizer deletes it)
+        spill = SpillDir.create() if plan.n_shards > 1 else None
+        readers = []
+        results: list[Any] = []
         progress = get_progress()
-        if keys is not None:
-            progress.begin(
-                label,
-                len(tasks),
-                done=len(hits),
-                cache_hits=len(hits),
-                cache_misses=len(pending),
-            )
-        else:
-            progress.begin(label, len(tasks))
+        campaign: AbstractContextManager[None] = (
+            progress.campaign_scope(label, total=len(tasks), n_shards=plan.n_shards)
+            if spill is not None
+            else nullcontext()
+        )
+        attrs = {"label": label, "executor": self.executor.name, "n_tasks": len(tasks)}
         try:
-            pending_tasks = [tasks[i] for i in pending]
-            if not tracer.enabled:
-                computed = self._dispatch(fn, pending_tasks, None)
-                wall_s = time.perf_counter() - start
-                results = self._merge_results(len(tasks), hits, pending, computed)
-                metrics = self._aggregate(results, label=label, wall_s=wall_s)
-                stores = self._store_results(keys, pending, computed)
-                metrics.cache = self._cache_stats(keys, hits, pending, stores)
-                if metrics.cache is not None:
-                    self._emit_cache_counters(get_registry(), metrics.cache)
+            with campaign, tracer.span("campaign", attrs=attrs) as span:
+                traced = None
+                if isinstance(tracer, Tracer):
+                    traced = _TracedDispatch(
+                        tracer=tracer,
+                        registry=MetricsRegistry(),
+                        parent_id=tracer.current_span_id,
+                    )
+                registry = get_registry() if traced is None else traced.registry
+                for i, (lo, hi) in enumerate(plan.ranges):
+                    # shard ids only reach heartbeats inside a campaign scope
+                    with progress.shard_scope(i, lo):
+                        chunk = self._run_range(fn, tasks[lo:hi], keyfn, traced, metrics)
+                    if spill is None:
+                        results = chunk
+                    else:
+                        readers.append(spill.write_shard(i, chunk))
+                metrics.wall_s = time.perf_counter() - start
+                metrics.fallback = getattr(self.executor, "fallback_reason", None)
+                if spill is not None:
+                    metrics.shards = {
+                        "shards": plan.n_shards,
+                        "spilled_items": spill.n_items,
+                        "spill_bytes": spill.bytes_written,
+                    }
+                    registry.counter("engine.shards").inc(plan.n_shards)
+                self._emit_run_meters(registry, metrics)
+                # worker meters have merged by now: summarise them into the
+                # resources section, then emit the coordinator's own meters
+                # so the final snapshot carries the full resource picture
                 metrics.resources = self._finish_resources(
-                    tracker, payload_before, meters=None
+                    tracker,
+                    payload_before,
+                    meters=registry.snapshot() if traced is not None else None,
                 )
-                self._emit_resource_meters(get_registry(), metrics.resources)
-            else:
-                results, metrics = self._run_traced(
-                    fn,
-                    tasks,
-                    label=label,
-                    tracer=tracer,
-                    started=start,
-                    keys=keys,
-                    hits=hits,
-                    pending=pending,
-                    tracker=tracker,
-                    payload_before=payload_before,
-                )
-        finally:
-            progress.finish()
-        if record:
-            self.history.append(metrics)
-            _RUN_LOG.append(metrics)
+                self._emit_resource_meters(registry, metrics.resources)
+                if traced is not None:
+                    metrics.meters = registry.snapshot()
+                    # the process-wide registry sees worker metrics too, so
+                    # the manifest's snapshot covers the whole run
+                    get_registry().merge(metrics.meters)
+                span.set(wall_s=round(metrics.wall_s, 6), fallback=metrics.fallback)
+                if metrics.cache is not None:
+                    span.set(cache_hits=metrics.cache["hits"])
+        except BaseException:
+            if spill is not None:
+                spill.cleanup()
+            raise
+        self.history.append(metrics)
+        _RUN_LOG.append(metrics)
+        if spill is not None:
+            return EngineRun(results=SpilledResults(spill, readers), metrics=metrics)
         return EngineRun(results=results, metrics=metrics)
 
-    # -- sharding ----------------------------------------------------------
-    def _stripe_cache(self, shard_id: int) -> AnalysisCache | None:
-        """The cache a shard's sub-engine should use.
-
-        Disk-backed caches stripe (one ``shard-NN/`` subtree each, keys
-        staying shard-invariant); memory-only caches are shared as-is —
-        striping one would just split its LRU into N cold fragments.
-        Stripe views are memoised so repeat runs on one engine keep
-        their memory tiers warm.
-        """
-        if self.cache is None or self.cache.directory is None:
-            return self.cache
-        stripe = f"shard-{shard_id:02d}"
-        view = self._stripes.get(stripe)
-        if view is None:
-            view = self.cache.stripe_view(stripe)
-            self._stripes[stripe] = view
-        return view
-
-    def _run_sharded(
+    def _run_range(
         self,
         fn: Callable[[Any], Any],
         tasks: list[Any],
-        *,
-        label: str,
-        tracer: Tracer | NoopTracer,
-        plan: ShardPlan,
-    ) -> EngineRun:
-        """Stream ``tasks`` through the engine one shard at a time.
-
-        Each shard runs on a single-shard sub-engine sharing this
-        engine's executor and its own cache stripe; completed shard results
-        spill to disk immediately, bounding coordinator RSS by one
-        shard's working set.  The spill directory is owned here: written
-        by this coordinator, deleted by this coordinator on failure, and
-        handed to the returned :class:`SpilledResults` on success (whose
-        finalizer deletes it when the results are garbage collected).
-        """
-        tracker = ResourceTracker()
-        spill = SpillDir.create()
-        parts: list[RunMetrics] = []
-        readers = []
+        keyfn: Callable[[Any], str | None] | None,
+        traced: "_TracedDispatch | None",
+        metrics: RunMetrics,
+    ) -> list[Any]:
+        """One range of a run: cache lookups, dispatch of the misses and
+        stores, with the range's results folded into ``metrics``."""
+        keys, hits, pending = self._consult_cache(keyfn, tasks)
         progress = get_progress()
-        try:
-            with progress.campaign_scope(label, total=len(tasks), n_shards=plan.n_shards):
-                for i, (lo, hi) in enumerate(plan.ranges):
-                    sub = CampaignEngine(self.executor, self._stripe_cache(i), shards=1)
-                    with progress.shard_scope(i, lo), tracer.tagged(
-                        shard=i, shards=plan.n_shards
-                    ):
-                        run = sub._run_once(
-                            fn, tasks[lo:hi], label=label, tracer=tracer, record=False
-                        )
-                    readers.append(spill.write_shard(i, run.results))
-                    parts.append(run.metrics)
-        except BaseException:
-            spill.cleanup()
-            raise
-        metrics = RunMetrics.merged(
-            parts,
-            label=label,
-            executor=self.executor.name,
-            shards={
-                "shards": plan.n_shards,
-                "spilled_items": spill.n_items,
-                "spill_bytes": spill.bytes_written,
-            },
+        progress.begin(
+            metrics.label,
+            len(tasks),
+            done=len(hits),
+            cache_hits=len(hits),
+            cache_misses=len(pending) if keys is not None else 0,
         )
-        # per-shard trackers bracket only their own run; the coordinator's
-        # tracker saw the whole campaign including spill I/O, so its
-        # process-level numbers are the truthful ones
-        res = tracker.summary()
-        if metrics.resources is None:
-            metrics.resources = res
-        else:
-            for key in (
-                "wall_s",
-                "cpu_s",
-                "cpu_utilization",
-                "rss_bytes",
-                "rss_peak_bytes",
-                "rss_peak_delta_bytes",
-            ):
-                metrics.resources[key] = res[key]
-            if "tracemalloc" in res:
-                metrics.resources["tracemalloc"] = res["tracemalloc"]
-        metrics.wall_s = res["wall_s"]
-        get_registry().counter("engine.shards").inc(plan.n_shards)
-        self.history.append(metrics)
-        _RUN_LOG.append(metrics)
-        return EngineRun(results=SpilledResults(spill, readers), metrics=metrics)
+        try:
+            computed = self._dispatch(fn, [tasks[i] for i in pending], traced)
+            results = self._merge_results(len(tasks), hits, pending, computed)
+            stores = self._store_results(keys, pending, computed)
+            if metrics.cache is not None:
+                metrics.cache["hits"] += len(hits)
+                metrics.cache["misses"] += len(pending)
+                metrics.cache["stores"] += stores
+            _fold_results(metrics, results)
+        finally:
+            progress.finish()
+        return results
 
     # -- caching -----------------------------------------------------------
     def _consult_cache(
-        self, fn: Callable[[Any], Any], tasks: list[Any]
+        self, keyfn: Callable[[Any], str | None] | None, tasks: list[Any]
     ) -> tuple[list[str | None] | None, dict[int, Any], list[int]]:
         """Split tasks into cache hits and indices still to compute."""
-        keyfn = getattr(fn, "cache_key", None)
         if self.cache is None or keyfn is None:
             return None, {}, list(range(len(tasks)))
         keys: list[str | None] = [keyfn(task) for task in tasks]
@@ -778,73 +649,15 @@ class CampaignEngine:
         return results
 
     @staticmethod
-    def _cache_stats(
-        keys: list[str | None] | None,
-        hits: dict[int, Any],
-        pending: list[int],
-        stores: int,
-    ) -> dict[str, int] | None:
-        if keys is None:
-            return None
-        return {"hits": len(hits), "misses": len(pending), "stores": stores}
-
-    @staticmethod
-    def _emit_cache_counters(registry: MetricsRegistry, stats: dict[str, int]) -> None:
-        registry.counter("cache.hit").inc(stats["hits"])
-        registry.counter("cache.miss").inc(stats["misses"])
-        registry.counter("cache.store").inc(stats["stores"])
-
-    def _run_traced(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: list[Any],
-        *,
-        label: str,
-        tracer: Tracer,
-        started: float,
-        keys: list[str | None] | None,
-        hits: dict[int, Any],
-        pending: list[int],
-        tracker: ResourceTracker | None = None,
-        payload_before: dict[str, int] | None = None,
-    ) -> tuple[list[Any], RunMetrics]:
-        if tracker is None:
-            tracker = ResourceTracker()
-        with tracer.span(
-            "campaign",
-            attrs={"label": label, "executor": self.executor.name, "n_tasks": len(tasks)},
-        ) as span:
-            merged = MetricsRegistry()
-            traced = _TracedDispatch(
-                tracer=tracer, registry=merged, parent_id=span.span_id
-            )
-            computed = self._dispatch(fn, [tasks[i] for i in pending], traced)
-            wall_s = time.perf_counter() - started
-            results = self._merge_results(len(tasks), hits, pending, computed)
-            metrics = self._aggregate(results, label=label, wall_s=wall_s)
-            stores = self._store_results(keys, pending, computed)
-            metrics.cache = self._cache_stats(keys, hits, pending, stores)
-            if metrics.cache is not None:
-                self._emit_cache_counters(merged, metrics.cache)
-            merged.counter("engine.tasks").inc(len(results))
-            merged.histogram("engine.run_wall_s").observe(wall_s)
-            for key, n in metrics.funnel.items():
-                merged.counter(metric_name("funnel", key)).inc(n)
-            # worker meters have merged by now: summarise them into the
-            # resources section, then emit the coordinator's own meters
-            # so the final snapshot carries the full resource picture
-            metrics.resources = self._finish_resources(
-                tracker, payload_before, meters=merged.snapshot()
-            )
-            self._emit_resource_meters(merged, metrics.resources)
-            metrics.meters = merged.snapshot()
-            # the process-wide registry sees worker metrics too, so the
-            # manifest's snapshot covers the whole run
-            get_registry().merge(metrics.meters)
-            span.set(wall_s=round(wall_s, 6), fallback=metrics.fallback)
-            if metrics.cache is not None:
-                span.set(cache_hits=metrics.cache["hits"])
-        return results, metrics
+    def _emit_run_meters(registry: MetricsRegistry, metrics: RunMetrics) -> None:
+        if metrics.cache is not None:
+            registry.counter("cache.hit").inc(metrics.cache["hits"])
+            registry.counter("cache.miss").inc(metrics.cache["misses"])
+            registry.counter("cache.store").inc(metrics.cache["stores"])
+        registry.counter("engine.tasks").inc(metrics.n_tasks)
+        registry.histogram("engine.run_wall_s").observe(metrics.wall_s)
+        for key, n in metrics.funnel.items():
+            registry.counter(metric_name("funnel", key)).inc(n)
 
     # -- resource accounting ------------------------------------------------
     def _payload_snapshot(self) -> dict[str, int] | None:
@@ -958,45 +771,6 @@ class CampaignEngine:
             traced.registry.merge(s.meters)
             values.append(s.value)
         return values
-
-    # -- aggregation -------------------------------------------------------
-    def _aggregate(self, results: list[Any], *, label: str, wall_s: float) -> RunMetrics:
-        stages: dict[str, StageTotals] = {}
-        routed = responsive = diurnal = wide = change_sensitive = 0
-        saw_blocks = False
-        for result in results:
-            if not isinstance(result, BlockResult):
-                continue
-            saw_blocks = True
-            routed += 1
-            for record in result.stages:
-                stages.setdefault(record.name, StageTotals()).add(record)
-            c = result.analysis.classification
-            if c.responsive:
-                responsive += 1
-                diurnal += int(c.is_diurnal)
-                wide += int(c.is_wide_swing)
-                change_sensitive += int(c.is_change_sensitive)
-        funnel = (
-            {
-                "routed": routed,
-                "responsive": responsive,
-                "diurnal": diurnal,
-                "wide_swing": wide,
-                "change_sensitive": change_sensitive,
-            }
-            if saw_blocks
-            else {}
-        )
-        return RunMetrics(
-            label=label,
-            executor=self.executor.name,
-            n_tasks=len(results),
-            wall_s=wall_s,
-            stages=stages,
-            funnel=funnel,
-            fallback=getattr(self.executor, "fallback_reason", None),
-        )
 
 
 def default_engine() -> CampaignEngine:

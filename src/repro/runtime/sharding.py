@@ -3,18 +3,16 @@
 The paper's campaign is 5.2M /24 blocks; holding every per-block result
 in one coordinator process makes scale RSS-bound rather than CPU-bound.
 Sharding partitions one engine run's task list into contiguous index
-ranges that stream through the :class:`~repro.runtime.engine.CampaignEngine`
-one shard at a time, with each completed shard's results spilled to a
-memory-mappable on-disk layout (:mod:`repro.runtime.spill`) before the
-next shard starts.
+ranges; :meth:`~repro.runtime.engine.CampaignEngine.run` is one loop over
+them, and spills each completed range's results to a memory-mappable
+on-disk layout (:mod:`repro.runtime.spill`) before the next starts.
 
 Contiguity is the identity-preserving property: concatenating per-shard
 result lists in shard order reproduces exactly the slot order of an
 unsharded run, so ``--shards 1``, ``--shards N``, and the unsharded
 path yield byte-identical experiment outputs the same way serial and
 parallel dispatch already do.  Within a shard the engine still splits
-the tasks into block ranges for its range jobs, so a shard is simply a
-smaller run.
+the tasks into block ranges for its range jobs, like any unsharded run.
 
 ``REPRO_SHARDS`` (the CLI's ``--shards N``) selects the shard count the
 same way ``REPRO_WORKERS`` selects the executor: unset, empty, ``0`` or
@@ -67,16 +65,6 @@ class ShardPlan:
             out.append((lo, hi))
             lo = hi
         return tuple(out)
-
-    def shard_of(self, index: int) -> int:
-        """Shard id owning task ``index`` (inverse of :attr:`ranges`)."""
-        if not 0 <= index < self.n_tasks:
-            raise IndexError(f"task index {index} outside [0, {self.n_tasks})")
-        base, extra = divmod(self.n_tasks, self.n_shards)
-        pivot = extra * (base + 1)
-        if index < pivot:
-            return index // (base + 1)
-        return extra + (index - pivot) // base
 
 
 def resolve_shards(value: int | None) -> int:

@@ -65,16 +65,6 @@ class TestShardPlan:
         assert max(sizes) - min(sizes) <= 1  # balanced within one task
         assert all(size > 0 for size in sizes)  # no empty shard
 
-    def test_shard_of_is_the_inverse_of_ranges(self):
-        plan = ShardPlan.plan(5, 23)
-        for shard, (lo, hi) in enumerate(plan.ranges):
-            for index in range(lo, hi):
-                assert plan.shard_of(index) == shard
-        with pytest.raises(IndexError):
-            plan.shard_of(23)
-        with pytest.raises(IndexError):
-            plan.shard_of(-1)
-
     def test_plan_clamps_to_task_count(self):
         assert ShardPlan.plan(10, 3).n_shards == 3
         assert ShardPlan.plan(0, 5).n_shards == 1
@@ -373,16 +363,30 @@ class TestShardedByteIdentity:
 
 
 # ---------------------------------------------------------------------------
-# cache striping
+# the disk cache under sharding
 # ---------------------------------------------------------------------------
-class TestCacheStriping:
-    def test_resharding_stays_warm_across_stripes(self, small_world, tmp_path):
+class _FlakySquare:
+    """Cacheable toy job whose task ``fail_on`` raises while ``fail_on`` is set."""
+
+    def __init__(self, fail_on=None):
+        self.fail_on = fail_on
+
+    def __call__(self, x):
+        if x == self.fail_on:
+            raise RuntimeError(f"task {x} exploded")
+        return {"x": x, "sq": np.full(16, float(x * x))}
+
+    def cache_key(self, x):
+        return f"{x:064d}"
+
+
+class TestShardedCache:
+    def test_resharding_stays_warm(self, small_world, tmp_path):
         cold = CampaignEngine(
             SerialExecutor(), cache=AnalysisCache(tmp_path), shards=2
         )
         first = DatasetBuilder(small_world).analyze(DATASET, engine=cold)
         assert first.metrics.cache["misses"] == first.metrics.n_tasks
-        assert (tmp_path / "shard-00").is_dir() and (tmp_path / "shard-01").is_dir()
 
         warm = CampaignEngine(
             SerialExecutor(), cache=AnalysisCache(tmp_path), shards=3
@@ -395,20 +399,67 @@ class TestCacheStriping:
                 first.analyses[cidr]
             )
 
-    def test_striped_runs_read_unstriped_entries(self, small_world, tmp_path):
+    def test_sharded_runs_read_unsharded_entries(self, small_world, tmp_path):
         flat = CampaignEngine(SerialExecutor(), cache=AnalysisCache(tmp_path))
         DatasetBuilder(small_world).analyze(DATASET, engine=flat)
-        striped = CampaignEngine(
+        sharded = CampaignEngine(
             SerialExecutor(), cache=AnalysisCache(tmp_path), shards=4
         )
-        result = DatasetBuilder(small_world).analyze(DATASET, engine=striped)
+        result = DatasetBuilder(small_world).analyze(DATASET, engine=sharded)
         assert result.metrics.cache["hits"] == result.metrics.n_tasks
 
-    def test_memory_only_cache_is_shared_not_striped(self):
-        cache = AnalysisCache()
+    def test_sharded_run_writes_one_flat_tree(self, tmp_path):
+        cache = AnalysisCache(tmp_path / "cache")
         engine = CampaignEngine(SerialExecutor(), cache=cache, shards=3)
-        assert engine._stripe_cache(0) is cache
-        assert engine._stripe_cache(2) is cache
+        run = engine.run(_FlakySquare(), list(range(9)))
+        assert run.metrics.cache == {"hits": 0, "misses": 9, "stores": 9}
+        assert not list((tmp_path / "cache").glob("shard-*"))
+        assert len(list((tmp_path / "cache").glob("*/*.pkl"))) == 9
+
+    def test_failed_shard_resumes_from_the_cache(self, tmp_path, monkeypatch):
+        spill_parent = tmp_path / "spill"
+        monkeypatch.setenv("REPRO_SPILL_DIR", str(spill_parent))
+        tasks = list(range(12))  # shards=4: [0,3) [3,6) [6,9) [9,12)
+        failing = CampaignEngine(
+            SerialExecutor(), cache=AnalysisCache(tmp_path / "cache"), shards=4
+        )
+        with pytest.raises(RuntimeError, match="task 10"):
+            failing.run(_FlakySquare(fail_on=10), tasks)
+        gc.collect()
+        assert list(spill_parent.iterdir()) == []
+        fresh = AnalysisCache(tmp_path / "cache")  # disk tier only
+        job = _FlakySquare()
+        for x in range(9):
+            assert fresh.get(job.cache_key(x))[0], f"shard entry {x} not stored"
+        assert not fresh.get(job.cache_key(10))[0]
+
+        rerun = CampaignEngine(
+            SerialExecutor(), cache=AnalysisCache(tmp_path / "cache"), shards=4
+        ).run(job, tasks)
+        assert rerun.metrics.cache["hits"] == 9
+        assert rerun.metrics.cache["misses"] == 3
+        unsharded = CampaignEngine(SerialExecutor()).run(job, tasks)
+        assert [pickle.dumps(r) for r in rerun.results] == [
+            pickle.dumps(r) for r in unsharded.results
+        ]
+
+
+class TestShardedTrace:
+    def test_one_campaign_span_per_run(self):
+        from repro.obs.trace import Tracer
+
+        tracer = Tracer()
+        engine = CampaignEngine(SerialExecutor(), shards=3)
+        run = engine.run(_square, list(range(9)), label="traced-shards", tracer=tracer)
+        assert list(run.results) == [i * i for i in range(9)]
+        campaigns = [s for s in tracer.finished if s.name == "campaign"]
+        assert len(campaigns) == 1
+        campaign = campaigns[0]
+        assert campaign.attrs["n_tasks"] == 9
+        blocks = [s for s in tracer.finished if s.name == "block"]
+        assert len(blocks) == 9
+        assert all(b.parent_id == campaign.span_id for b in blocks)
+        assert run.metrics.meters["engine.tasks"]["value"] == 9
 
 
 # ---------------------------------------------------------------------------
