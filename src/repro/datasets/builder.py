@@ -5,20 +5,16 @@ The builder glues the substrate to the pipeline: for each block of a
 requested observers over a dataset window (with per-path loss models),
 and hands the probe logs to a :class:`~repro.core.pipeline.BlockPipeline`.
 
-Observations are cached per (block, observer) and *sliced* for narrower
-windows — mirroring the paper, which reuses one measurement stream for
-every analysis window (quarters, months, halves).  Both caches evict
-least-recently-used entries by bytes at rest (array payload size), not
-entry count, so a handful of huge blocks cannot balloon memory while
-many small blocks still fit; experiments stream block-by-block either
-way, and eviction never changes results (evicted windows are
-re-simulated deterministically).
+Every probe log is a pure function of the block, the observer and the
+window: each request simulates exactly the window asked for, so what a
+builder returns never depends on what it was asked before.  The only
+state kept between calls is the last truth built, reused when the same
+(block, window) is asked for again.
 """
 
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Sequence
@@ -31,7 +27,7 @@ from ..core.reconstruction import Reconstruction
 from ..core.stages import StageContext
 from ..net.bayesian import BayesianTrinocularObserver
 from ..net.observations import ObservationSeries
-from ..net.prober import AdditionalProber, ProbeLane, TrinocularObserver, probe_order
+from ..net.prober import AdditionalProber, ProbeLane, Prober, TrinocularObserver, probe_order
 from ..net.survey import SurveyObserver
 from ..net.usage import ROUND_SECONDS, BlockTruth
 from ..net.world import BlockSpec, WorldModel
@@ -187,17 +183,10 @@ class DatasetBuilder:
         pipeline: BlockPipeline | None = None,
         *,
         observer_style: str = "adaptive",
-        cache_blocks: int = 4,
-        cache_bytes: int | None = None,
     ) -> None:
         """``observer_style`` picks the probing algorithm: "adaptive" is
         the paper's stop-at-first-positive description; "bayesian" is the
-        full belief-driven Trinocular of [71] (see repro.net.bayesian).
-
-        ``cache_bytes`` bounds each of the truth and observation caches
-        by total array bytes at rest; when None it defaults to
-        ``cache_blocks`` x 8 MiB — roomy enough that the legacy
-        "last few blocks" working set never evicts early."""
+        full belief-driven Trinocular of [71] (see repro.net.bayesian)."""
         self.world = world
         self.pipeline = pipeline or BlockPipeline()
         if observer_style == "adaptive":
@@ -213,88 +202,37 @@ class DatasetBuilder:
         }
         self.additional = AdditionalProber(name="a", phase_offset_s=601.0)
         self.survey = SurveyObserver(name="survey", phase_offset_s=0.0)
-        self._cache_blocks = cache_blocks
-        self._cache_bytes = (
-            cache_blocks * 8 * 1024 * 1024 if cache_bytes is None else cache_bytes
-        )
-        self._obs_cache: OrderedDict[tuple[str, str], tuple[float, float, ObservationSeries]] = (
-            OrderedDict()
-        )
-        self._truth_cache: OrderedDict[str, tuple[float, BlockTruth]] = OrderedDict()
-        self._obs_cache_bytes = 0
-        self._truth_cache_bytes = 0
+        self._last_truth: tuple[tuple[BlockSpec, float, float], BlockTruth] | None = None
 
     # -- simulation -------------------------------------------------------
-    @staticmethod
-    def _truth_nbytes(truth: BlockTruth) -> int:
-        return truth.addresses.nbytes + truth.active.nbytes + truth.col_times.nbytes
-
-    @staticmethod
-    def _series_nbytes(series: ObservationSeries) -> int:
-        n = series.times.nbytes + series.addresses.nbytes + series.results.nbytes
-        if series.sources is not None:
-            n += series.sources.nbytes
-        return n
-
     def truth(self, spec: BlockSpec, start_s: float, duration_s: float) -> BlockTruth:
-        """Ground truth covering at least ``[0, start+duration)``, cached."""
-        end = start_s + duration_s
-        cached = self._truth_cache.get(spec.block.cidr)
-        if cached is not None and cached[0] >= end:
-            self._truth_cache.move_to_end(spec.block.cidr)
-            return cached[1]
-        truth = self.world.truth(spec, end)
-        if cached is not None:
-            self._truth_cache_bytes -= self._truth_nbytes(cached[1])
-        self._truth_cache[spec.block.cidr] = (end, truth)
-        self._truth_cache.move_to_end(spec.block.cidr)
-        self._truth_cache_bytes += self._truth_nbytes(truth)
-        # evict coldest-first by bytes at rest, always keeping the newest
-        while self._truth_cache_bytes > self._cache_bytes and len(self._truth_cache) > 1:
-            _, (_, old) = self._truth_cache.popitem(last=False)
-            self._truth_cache_bytes -= self._truth_nbytes(old)
-        return truth
+        """Ground truth over ``[start_s, start_s+duration_s)``.
+
+        Its columns start at the one covering ``start_s``.  The last
+        truth built is kept, so asking again for the same block and
+        window (as :meth:`observe_dataset` does after it) reuses it.
+        """
+        key = (spec, start_s, duration_s)
+        if self._last_truth is None or self._last_truth[0] != key:
+            self._last_truth = (key, self.world.truth(spec, duration_s, start_s=start_s))
+        return self._last_truth[1]
 
     def observe(
         self, spec: BlockSpec, observer: str, start_s: float, duration_s: float
     ) -> ObservationSeries:
-        """One observer's probe log for a window (cached + sliced)."""
-        key = (spec.block.cidr, observer)
-        end_s = start_s + duration_s
-        cached = self._obs_cache.get(key)
-        if cached is not None and cached[0] <= start_s and cached[1] >= end_s:
-            self._obs_cache.move_to_end(key)
-            return cached[2].slice_time(start_s, end_s)
-
-        sim_start = start_s if cached is None else min(cached[0], start_s)
-        sim_end = end_s if cached is None else max(cached[1], end_s)
-        series = self._simulate(spec, observer, sim_start, sim_end - sim_start)
-        if cached is not None:
-            self._obs_cache_bytes -= self._series_nbytes(cached[2])
-        self._obs_cache[key] = (sim_start, sim_end, series)
-        self._obs_cache.move_to_end(key)
-        self._obs_cache_bytes += self._series_nbytes(series)
-        while self._obs_cache_bytes > self._cache_bytes and len(self._obs_cache) > 1:
-            _, (_, _, old) = self._obs_cache.popitem(last=False)
-            self._obs_cache_bytes -= self._series_nbytes(old)
-        return series.slice_time(start_s, end_s)
-
-    def _simulate(
-        self, spec: BlockSpec, observer: str, start_s: float, duration_s: float
-    ) -> ObservationSeries:
-        truth = self.truth(spec, start_s, duration_s)
+        """One observer's probe log over ``[start_s, start_s+duration_s)``."""
+        truth = self.truth(spec, *self._lane_window(start_s, duration_s))
         order = probe_order(truth.n_addresses, spec.seed)
-        if observer not in ("survey", "a"):
-            return self._lane(spec, observer, truth, order, start_s, duration_s).observe()
-        rng = np.random.default_rng([spec.seed, 0xC, _observer_stream(observer)])
-        loss = self.world.loss_model(spec, observer)
-        if observer == "survey":
-            return self.survey.observe(
-                truth, None, loss, rng, start_s=start_s, duration_s=duration_s
-            )
-        return self.additional.observe(
-            truth, order, loss, rng, start_s=start_s, duration_s=duration_s
-        )
+        lane = self._lane(spec, observer, truth, order, start_s, duration_s)
+        return lane.observe().slice_time(start_s, start_s + duration_s)
+
+    def _lane_window(self, start_s: float, duration_s: float) -> tuple[float, float]:
+        """(start, duration) of the truth a block's lanes probe: the window
+        itself, except under Bayesian probing, whose availability estimate
+        averages the whole truth it is given and so reads one from time zero."""
+        if self.observer_style == "bayesian":
+            return 0.0, start_s + duration_s
+        return start_s, duration_s
 
     def _lane(
         self,
@@ -305,19 +243,35 @@ class DatasetBuilder:
         start_s: float,
         duration_s: float,
     ) -> ProbeLane:
-        """One site's probing of one block, seeded per (block, site)."""
+        """One observer's probing of one block, seeded per (block, observer).
+
+        The Trinocular sites start their cursors at independent positions
+        in ``order``; the additional prober starts at its head, and the
+        survey walks E(b) in address order.
+        """
         stream = _observer_stream(observer)
-        # each observer starts its cursor at an independent position
-        cursor = np.random.default_rng([spec.seed, 0xD, stream]).integers(truth.n_addresses)
+        cursor = 0
+        prober: Prober
+        if observer in self.observers:
+            prober = self.observers[observer]
+            cursor_rng = np.random.default_rng([spec.seed, 0xD, stream])
+            cursor = int(cursor_rng.integers(truth.n_addresses))
+        elif observer == "a":
+            prober = self.additional
+        elif observer == "survey":
+            prober = self.survey
+            order = np.arange(truth.n_addresses)
+        else:
+            raise KeyError(f"unknown observer: {observer!r}")
         return ProbeLane(
-            self.observers[observer],
+            prober,
             truth,
             order,
             self.world.loss_model(spec, observer),
             np.random.default_rng([spec.seed, 0xC, stream]),
             start_s=start_s,
             duration_s=duration_s,
-            start_cursor=int(cursor),
+            start_cursor=cursor,
         )
 
     def observe_dataset(
@@ -337,26 +291,9 @@ class DatasetBuilder:
         *,
         ctx: StageContext | None = None,
     ) -> Reconstruction:
-        """Simulate one block's observers and reconstruct its count series.
-
-        This is the front half of :meth:`analyze_block` (truth, simulate,
-        repair, combine, reconstruct).  :meth:`reconstruct_blocks` runs
-        it for a block range, probing the range in lockstep.
-        """
-        ds = dataset(ds) if isinstance(ds, str) else ds
-        pipeline = pipeline or self.pipeline
-        ctx = ctx if ctx is not None else StageContext()
-        start = ds.start_s(self.world.epoch)
-        with ctx.stage("truth") as active:
-            truth = self.truth(spec, start, ds.duration_s)
-            active.n_out = truth.n_addresses
-        with ctx.stage("simulate") as active:
-            logs = self.observe_dataset(spec, ds)
-            active.n_out = sum(len(log) for log in logs)
-        grid = start + np.arange(int(ds.duration_s / ROUND_SECONDS)) * ROUND_SECONDS
-        per_observer = pipeline.stage_repair(logs, ctx)
-        merged = pipeline.stage_combine(per_observer, ctx)
-        return pipeline.stage_reconstruct(merged, truth.addresses, grid, ctx)
+        """:meth:`reconstruct_blocks` for one block."""
+        ctxs = None if ctx is None else [ctx]
+        return self.reconstruct_blocks([spec], ds, pipeline, ctxs=ctxs)[0]
 
     def reconstruct_blocks(
         self,
@@ -367,22 +304,26 @@ class DatasetBuilder:
         ctxs: Sequence[StageContext] | None = None,
         block_scope: Callable[[BlockSpec], AbstractContextManager[Any]] | None = None,
     ) -> list[Reconstruction]:
-        """:meth:`reconstruct_block` for a range of blocks, probed in lockstep.
+        """Simulate a range of blocks' observers and reconstruct their counts.
 
-        Returns each spec's reconstruction, equal to what
-        :meth:`reconstruct_block` returns for it, and records the same
-        stages into ``ctxs[i]``.  The range splits into consecutive
-        batches whose next-active tables fit :data:`LOCKSTEP_TABLE_BYTES`;
-        a batch's (block, observer) lanes, seeded as :meth:`_simulate`
-        seeds them, run through one
-        :meth:`TrinocularObserver.observe_batch` call.  Then each block's
-        probe logs are assembled and repaired, combined and
-        reconstructed before the next block's.  A block's ``truth``
-        record carries its own truth generation, and its ``simulate``
-        record its share of the batch's probing time (the batch's wall
-        less its truths) plus its own log assembly.  Batches narrower than
-        :data:`LOCKSTEP_MIN_LANES` lanes, and observers other than the
-        adaptive Trinocular sites, go block by block.
+        This is the front half of :meth:`analyze_block` (truth, simulate,
+        repair, combine, reconstruct): it returns each spec's
+        reconstruction and records its stages into ``ctxs[i]``.  The range
+        splits into consecutive batches whose next-active tables fit
+        :data:`LOCKSTEP_TABLE_BYTES`.  Per batch, each block's truth is
+        built and its (block, observer) lanes seeded as :meth:`_lane`
+        seeds them; truths stream in one block at a time, so a batch never
+        holds all of them.  The batch is probed, then each block's probe
+        logs are repaired, combined and reconstructed before the next
+        block's.
+
+        An adaptive batch of at least :data:`LOCKSTEP_MIN_LANES` Trinocular
+        lanes is probed up front by one
+        :meth:`TrinocularObserver.observe_batch` call; any other batch
+        probes each lane through its own ``observe`` as its block comes up.
+        A block's ``truth`` record carries its own truth generation, and
+        its ``simulate`` record its share of the batch call (less the
+        truths) plus its own probing and log assembly.
 
         ``block_scope(spec)`` is entered around each block's own work
         (the engine opens its per-block trace span there).
@@ -391,18 +332,62 @@ class DatasetBuilder:
         pipeline = pipeline or self.pipeline
         ctxs = list(ctxs) if ctxs is not None else [StageContext() for _ in specs]
         scope = block_scope or (lambda spec: nullcontext())
-        lockstep = self.observer_style == "adaptive" and all(
+        start = ds.start_s(self.world.epoch)
+        end = start + ds.duration_s
+        grid = start + np.arange(int(ds.duration_s / ROUND_SECONDS)) * ROUND_SECONDS
+        truth_start, truth_duration = self._lane_window(start, ds.duration_s)
+        sites = self.observer_style == "adaptive" and all(
             name in self.observers for name in ds.observers
         )
         out: list[Reconstruction] = []
         for batch in self._probe_batches(specs, ds):
-            batch_ctxs = ctxs[len(out) : len(out) + len(batch)]
-            if lockstep and len(batch) * len(ds.observers) >= LOCKSTEP_MIN_LANES:
-                out.extend(self._reconstruct_lockstep(batch, ds, pipeline, batch_ctxs, scope))
-                continue
-            for spec, ctx in zip(batch, batch_ctxs):
+            truths: list[tuple[np.ndarray, float, float]] = []  # per block: E(b), wall, cpu
+
+            def lanes() -> Iterator[ProbeLane]:
+                for spec in batch:
+                    t0, cpu0 = time.perf_counter(), thread_cpu_seconds()
+                    # built here, not through the truth memo: the kernel
+                    # keeps only its table, so no truth outlives its block
+                    truth = self.world.truth(spec, truth_duration, start_s=truth_start)
+                    truths.append(
+                        (truth.addresses, time.perf_counter() - t0, thread_cpu_seconds() - cpu0)
+                    )
+                    order = probe_order(truth.n_addresses, spec.seed)
+                    for name in ds.observers:
+                        yield self._lane(spec, name, truth, order, start, ds.duration_s)
+
+            lockstep = sites and len(batch) * len(ds.observers) >= LOCKSTEP_MIN_LANES
+            batch_grid = grid.copy()
+            t0, cpu0 = time.perf_counter(), thread_cpu_seconds()
+            if lockstep:
+                logs = TrinocularObserver.observe_batch(lanes())
+            else:
+                logs = (lane.observe() for lane in lanes())
+            shared_s = (time.perf_counter() - t0 - sum(t[1] for t in truths)) / len(batch)
+            shared_cpu = (thread_cpu_seconds() - cpu0 - sum(t[2] for t in truths)) / len(batch)
+            for i, spec in enumerate(batch):
+                ctx = ctxs[len(out)]
                 with scope(spec):
-                    out.append(self.reconstruct_block(spec, ds, pipeline, ctx=ctx))
+                    t0, cpu0 = time.perf_counter(), thread_cpu_seconds()
+                    block_logs = [next(logs).slice_time(start, end) for _ in ds.observers]
+                    wall_s, cpu_s = time.perf_counter() - t0, thread_cpu_seconds() - cpu0
+                    addrs, truth_s, truth_cpu = truths[i]
+                    if not lockstep:  # this block's truth was built while probing it
+                        wall_s, cpu_s = wall_s - truth_s, cpu_s - truth_cpu
+                    ctx.record_batched("truth", wall_s=truth_s, cpu_s=truth_cpu, n_out=addrs.size)
+                    ctx.record_batched(
+                        "simulate",
+                        wall_s=shared_s + wall_s,
+                        cpu_s=shared_cpu + cpu_s,
+                        n_out=sum(len(log) for log in block_logs),
+                        n_batch=len(batch) if lockstep else 1,
+                    )
+                    per_observer = pipeline.stage_repair(block_logs, ctx)
+                    merged = pipeline.stage_combine(per_observer, ctx)
+                    # a lockstep batch's reconstructions share one sample
+                    # grid, other blocks own theirs (pickles show sharing)
+                    block_grid = batch_grid if lockstep else grid.copy()
+                    out.append(pipeline.stage_reconstruct(merged, addrs, block_grid, ctx))
         return out
 
     def _probe_batches(
@@ -421,57 +406,6 @@ class DatasetBuilder:
             held += nbytes
         if batch:
             yield batch
-
-    def _reconstruct_lockstep(
-        self,
-        batch: list[BlockSpec],
-        ds: DatasetSpec,
-        pipeline: BlockPipeline,
-        ctxs: Sequence[StageContext],
-        scope: Callable[[BlockSpec], AbstractContextManager[Any]],
-    ) -> list[Reconstruction]:
-        start = ds.start_s(self.world.epoch)
-        end = start + ds.duration_s
-        grid = start + np.arange(int(ds.duration_s / ROUND_SECONDS)) * ROUND_SECONDS
-        addresses: list[np.ndarray] = []
-        truth_times: list[tuple[float, float]] = []  # per block: (wall, cpu)
-
-        def lanes() -> Iterator[ProbeLane]:
-            # truths stream in one block at a time: the kernel keeps only
-            # its table, so a batch never holds all of them.  Uncached
-            # (as a fresh per-block builder would be), and built over the
-            # window only: the columns of self.truth(spec, start, duration)
-            # from the one covering ``start`` on.
-            for spec in batch:
-                t0, cpu0 = time.perf_counter(), thread_cpu_seconds()
-                truth = self.world.truth(spec, ds.duration_s, start_s=start)
-                truth_times.append((time.perf_counter() - t0, thread_cpu_seconds() - cpu0))
-                addresses.append(truth.addresses)
-                order = probe_order(truth.n_addresses, spec.seed)
-                for name in ds.observers:
-                    yield self._lane(spec, name, truth, order, start, ds.duration_s)
-
-        t0, cpu0 = time.perf_counter(), thread_cpu_seconds()
-        logs = TrinocularObserver.observe_batch(lanes())
-        shared_s = (time.perf_counter() - t0 - sum(w for w, _ in truth_times)) / len(batch)
-        shared_cpu = (thread_cpu_seconds() - cpu0 - sum(c for _, c in truth_times)) / len(batch)
-        out: list[Reconstruction] = []
-        for spec, ctx, addrs, (truth_s, truth_cpu) in zip(batch, ctxs, addresses, truth_times):
-            with scope(spec):
-                ctx.record_batched("truth", wall_s=truth_s, cpu_s=truth_cpu, n_out=addrs.size)
-                t0, cpu0 = time.perf_counter(), thread_cpu_seconds()
-                block_logs = [next(logs).slice_time(start, end) for _ in ds.observers]
-                ctx.record_batched(
-                    "simulate",
-                    wall_s=shared_s + time.perf_counter() - t0,
-                    cpu_s=shared_cpu + thread_cpu_seconds() - cpu0,
-                    n_out=sum(len(log) for log in block_logs),
-                    n_batch=len(batch),
-                )
-                per_observer = pipeline.stage_repair(block_logs, ctx)
-                merged = pipeline.stage_combine(per_observer, ctx)
-                out.append(pipeline.stage_reconstruct(merged, addrs, grid, ctx))
-        return out
 
     def analyze_block(
         self,

@@ -15,7 +15,7 @@ combining observers shorten full-block-scan times (§2.7, Figure 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Protocol
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "TrinocularObserver",
     "AdditionalProber",
     "ProbeLane",
+    "Prober",
     "count_probe_volume",
     "probe_order",
 ]
@@ -492,15 +493,32 @@ def _assemble_log(
     )
 
 
+class Prober(Protocol):
+    """An observer whose ``observe`` takes a :class:`ProbeLane`'s fields."""
+
+    def observe(
+        self,
+        truth: BlockTruth,
+        order: np.ndarray,
+        loss: LossModel | None = None,
+        rng: np.random.Generator | None = None,
+        *,
+        start_s: float = 0.0,
+        duration_s: float | None = None,
+        start_cursor: int = 0,
+    ) -> ObservationSeries: ...
+
+
 @dataclass(frozen=True, eq=False)
 class ProbeLane:
-    """One (block, observer) lane of :meth:`TrinocularObserver.observe_batch`.
+    """One (block, observer) lane: an observer's probing of one block.
 
-    The fields are the arguments of :meth:`TrinocularObserver.observe`
-    for that lane.
+    The fields are the arguments of the observer's ``observe`` for that
+    lane.  Lanes of :class:`TrinocularObserver` sites can also run
+    together through :meth:`TrinocularObserver.observe_batch`.
     """
 
-    observer: TrinocularObserver
+    observer: Prober
     truth: BlockTruth
     order: np.ndarray
     loss: LossModel | None = None
@@ -510,7 +528,7 @@ class ProbeLane:
     start_cursor: int = 0
 
     def observe(self) -> ObservationSeries:
-        """This lane probed on its own, through :meth:`TrinocularObserver.observe`."""
+        """This lane probed on its own, through its observer's ``observe``."""
         return self.observer.observe(
             self.truth,
             self.order,

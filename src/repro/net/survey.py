@@ -37,6 +37,7 @@ class SurveyObserver:
         *,
         start_s: float = 0.0,
         duration_s: float | None = None,
+        start_cursor: int = 0,
     ) -> ObservationSeries:
         loss = loss or NoLoss()
         rng = rng or np.random.default_rng(0)
@@ -66,7 +67,7 @@ class SurveyObserver:
         )
         keep = t < end_s
         pos, t = pos[keep], t[keep]
-        order_idx = order[pos % m]
+        order_idx = order[(start_cursor + pos) % m]
         col_origin = float(truth.col_times[0]) if truth.n_cols else 0.0
         cols = np.clip(
             ((t - col_origin) / truth.round_seconds).astype(np.int64), 0, truth.n_cols - 1

@@ -525,10 +525,13 @@ class WorldModel:
     def truth(self, spec: BlockSpec, duration_s: float, *, start_s: float = 0.0) -> BlockTruth:
         """Ground truth for one block over ``[start_s, start_s+duration_s)``.
 
-        The truth's columns start at the one covering ``start_s``.  Draws
-        span the grid from time zero, so a block looks identical
-        regardless of the dataset window observing it; only the window's
-        columns are built.
+        The truth's columns start at the one covering ``start_s``, and
+        only those columns are built.  Draws span the grid from time zero
+        to the window's end, so windows sharing an end agree column for
+        column whatever their start.  Windows with different ends do
+        not: some models size their draws by the grid's length, so a
+        longer window can see different activity on the days it shares
+        with a shorter one.
         """
         grid = round_grid(min(start_s + duration_s, self.scenario.max_duration_s))
         first_col = min(max(int(start_s // ROUND_SECONDS), 0), grid.size)

@@ -3,9 +3,9 @@
 Every per-block job in this repo is a pure function of frozen inputs
 (world seed and scenario, block spec, analysis window, pipeline
 parameters), so its result can be keyed by a stable hash of those inputs
-and reused across engine runs — and, with a disk tier, across CLI
-invocations.  fig3/fig5/table3 and the covid/control campaigns share
-worlds; with a cache directory they stop re-simulating them.
+and reused across engine runs and CLI invocations.  fig3/fig5/table3
+and the covid/control campaigns share worlds; with a cache directory
+they stop re-simulating them.
 
 Key schema
 ----------
@@ -21,16 +21,16 @@ results without changing any input field).  Objects the tokenizer does
 not understand make the task *uncacheable* (``task_key`` returns
 ``None``) rather than wrongly cacheable.
 
-Tiers
------
-An in-memory LRU holds the most recent ``max_items`` results; an
-optional directory tier (``--cache DIR`` / ``REPRO_CACHE``) persists
-pickles under ``DIR/<k[:2]>/<k>.pkl`` with atomic renames, so parallel
-runs and repeated invocations are safe.  A key hashes the job inputs
-only, never a shard id, so one directory serves unsharded and sharded
-runs of any shard count alike.  Cached results are exactly the stored
-objects — the engine guarantees cached, serial, and parallel runs stay
-byte-identical.
+Storage
+-------
+Entries live only on disk (``--cache DIR`` / ``REPRO_CACHE``): pickles
+under ``DIR/<k[:2]>/<k>.pkl``, written with atomic renames, so parallel
+runs and repeated invocations are safe.  Nothing stays in memory, so a
+cached run holds no more results than an uncached one (a sharded run
+keeps to its one-shard bound).  A key hashes the job inputs only, never
+a shard id, so one directory serves unsharded and sharded runs of any
+shard count alike.  A hit unpickles exactly the bytes stored — the
+engine guarantees cached, serial, and parallel runs stay byte-identical.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import hashlib
 import os
 import pickle
 import tempfile
-from collections import OrderedDict
 from pathlib import Path
 from typing import Any
 
@@ -119,32 +118,19 @@ def task_key(kind: str, inputs: dict[str, Any]) -> str | None:
 
 
 class AnalysisCache:
-    """Two-tier (memory LRU + optional directory) result store.
+    """Directory-backed result store.
 
     The cache is dumb on purpose: it maps keys to pickled results and
     never interprets them.  Correctness rests entirely on the key —
     see the module docstring for the schema.
     """
 
-    def __init__(
-        self,
-        directory: "str | os.PathLike[str] | None" = None,
-        *,
-        max_items: int = 1024,
-    ) -> None:
-        self.directory = Path(directory) if directory is not None else None
-        self.max_items = max(int(max_items), 1)
-        self._memory: OrderedDict[str, Any] = OrderedDict()
-        self._bytes_written = 0  # cumulative durable-tier bytes, this instance
+    def __init__(self, directory: "str | os.PathLike[str]") -> None:
+        self.directory = Path(directory)
+        self._bytes_written = 0  # cumulative bytes stored, this instance
 
-    # -- lookup ----------------------------------------------------------
     def get(self, key: str) -> tuple[bool, Any]:
-        """(hit, value); a disk hit is promoted into the memory tier."""
-        if key in self._memory:
-            self._memory.move_to_end(key)
-            return True, self._memory[key]
-        if self.directory is None:
-            return False, None
+        """(hit, value); unreadable entries count as misses."""
         try:
             with open(self._path(key), "rb") as fh:
                 blob = fh.read()
@@ -152,15 +138,10 @@ class AnalysisCache:
         except (OSError, pickle.PickleError, EOFError):
             return False, None
         get_registry().counter("cache.bytes.hit").inc(len(blob))
-        self._remember(key, value)
         return True, value
 
     def put(self, key: str, value: Any) -> bool:
-        """Store a result in both tiers; True when it is durably stored
-        (or there is no disk tier and the memory tier took it)."""
-        self._remember(key, value)
-        if self.directory is None:
-            return True
+        """Store a result; True when it is durably stored."""
         path = self._path(key)
         try:
             blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
@@ -178,26 +159,13 @@ class AnalysisCache:
                 raise
         except OSError:
             return False
-        # byte accounting covers the durable tier only: the memory tier
-        # never serialises, so it has no meaningful byte size to report
         registry = get_registry()
         registry.counter("cache.bytes.store").inc(len(blob))
         self._bytes_written += len(blob)
         registry.max_gauge("cache.bytes.at_rest").set(self._bytes_written)
         return True
 
-    def __len__(self) -> int:
-        return len(self._memory)
-
-    # -- internals -------------------------------------------------------
-    def _remember(self, key: str, value: Any) -> None:
-        self._memory[key] = value
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.max_items:
-            self._memory.popitem(last=False)
-
     def _path(self, key: str) -> Path:
-        assert self.directory is not None
         return self.directory / key[:2] / f"{key}.pkl"
 
 
@@ -205,7 +173,7 @@ def default_cache() -> AnalysisCache | None:
     """Cache for callers that did not pick one: ``REPRO_CACHE`` decides.
 
     Unset or empty means no caching (every run recomputes, as before);
-    a directory path enables both tiers rooted there.  The CLI's
+    a directory path enables the cache rooted there.  The CLI's
     ``--cache DIR`` flag sets this variable for the whole run.
     """
     raw = envconfig.raw("REPRO_CACHE")

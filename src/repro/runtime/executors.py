@@ -124,11 +124,9 @@ class ParallelExecutor:
     workers:
         Pool size; ``None`` uses ``os.cpu_count()``.  ``workers <= 1``
         degenerates to serial execution (no pool is spawned).
-    chunk_size:
-        Tasks per dispatch unit.  ``None`` picks a size that gives each
-        worker several chunks (amortizes pickling the job closure while
-        keeping the pool load-balanced).
 
+    Tasks go out in chunks sized to give each worker several (amortizes
+    pickling the job closure while keeping the pool load-balanced).
     Results are returned in task order regardless of completion order.
     If the pool cannot be spawned, or breaks mid-run (e.g. a worker is
     OOM-killed), the executor falls back to in-process execution so no
@@ -137,9 +135,8 @@ class ParallelExecutor:
     exactly as they would serially.
     """
 
-    def __init__(self, workers: int | None = None, chunk_size: int | None = None) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         self.workers = os.cpu_count() or 1 if workers is None else int(workers)
-        self.chunk_size = chunk_size
         self.fallback_reason: str | None = None
         #: Cumulative pool payload accounting (bytes re-pickled for
         #: measurement; only counted when a real pool dispatched and
@@ -170,7 +167,7 @@ class ParallelExecutor:
             return _run_serial(fn, tasks, on_result)
 
         n_workers = min(self.workers, len(tasks))
-        chunk = self.chunk_size or max(1, -(-len(tasks) // (n_workers * 4)))
+        chunk = max(1, -(-len(tasks) // (n_workers * 4)))
         registry = get_registry()
         accounting = payload_accounting_enabled()
         try:
@@ -222,4 +219,4 @@ class ParallelExecutor:
             return _run_serial(fn, tasks, on_result)
 
     def __repr__(self) -> str:
-        return f"ParallelExecutor(workers={self.workers}, chunk_size={self.chunk_size})"
+        return f"ParallelExecutor(workers={self.workers})"

@@ -92,8 +92,7 @@ class BlockAnalysisJob:
         if live:
             get_registry().counter("blocks.analyzed").inc(len(live))
             ctxs = [StageContext() for _ in live]
-            # the builder (and its observation caches) is dropped before
-            # the tail runs
+            # the builder is dropped before the tail runs
             recons = DatasetBuilder(
                 self.world, self.pipeline, observer_style=self.observer_style
             ).reconstruct_blocks(

@@ -1,8 +1,9 @@
-"""Tests for builder observer styles and observation-cache extension."""
+"""Tests for builder observer styles."""
 
 from __future__ import annotations
 
-import numpy as np
+import pickle
+
 import pytest
 
 from repro.datasets.builder import DatasetBuilder
@@ -51,26 +52,35 @@ class TestObserverStyles:
         assert len(b) <= len(a)
 
 
-class TestCacheExtension:
-    def test_cache_extends_backwards_and_forwards(self, world):
-        builder = DatasetBuilder(world)
-        spec = next(s for s in world.blocks if s.responsive_by_design)
-        mid = builder.observe(spec, "e", 10 * 86_400.0, 5 * 86_400.0)
-        # a wider request must re-simulate the union and still slice right
-        wide = builder.observe(spec, "e", 8 * 86_400.0, 10 * 86_400.0)
-        assert wide.times[0] >= 8 * 86_400.0
-        assert wide.times[-1] < 18 * 86_400.0
-        # the original narrow window remains a strict subset
-        again = builder.observe(spec, "e", 10 * 86_400.0, 5 * 86_400.0)
-        assert len(again) > 0
-        assert again.times[0] >= 10 * 86_400.0
-        assert again.times[-1] < 15 * 86_400.0
+DAY = 86_400.0
 
-    def test_cached_slice_identical_to_fresh(self, world):
-        builder = DatasetBuilder(world)
+
+class TestRequestsAreHistoryFree:
+    """A builder's answer for a window never depends on earlier requests."""
+
+    @pytest.mark.parametrize("style", ["adaptive", "bayesian"])
+    def test_observe_ignores_earlier_windows(self, world, style):
+        warm = DatasetBuilder(world, observer_style=style)
+        for spec in [s for s in world.blocks if s.responsive_by_design][:8]:
+            warm.observe(spec, "e", 8 * DAY, 10 * DAY)
+            again = warm.observe(spec, "e", 10 * DAY, 5 * DAY)
+            fresh = DatasetBuilder(world, observer_style=style).observe(
+                spec, "e", 10 * DAY, 5 * DAY
+            )
+            assert len(fresh) > 0
+            assert pickle.dumps(again) == pickle.dumps(fresh)
+
+    def test_truth_ignores_earlier_windows(self, world):
+        warm = DatasetBuilder(world)
+        for spec in [s for s in world.blocks if s.responsive_by_design][:8]:
+            warm.truth(spec, 0.0, 30 * DAY)
+            again = warm.truth(spec, 10 * DAY, 5 * DAY)
+            fresh = DatasetBuilder(world).truth(spec, 10 * DAY, 5 * DAY)
+            assert pickle.dumps(again) == pickle.dumps(fresh)
+
+    def test_truth_is_the_window(self, world):
         spec = next(s for s in world.blocks if s.responsive_by_design)
-        first = builder.observe(spec, "j", 0.0, 7 * 86_400.0)
-        slice_again = builder.observe(spec, "j", 2 * 86_400.0, 3 * 86_400.0)
-        manual = first.slice_time(2 * 86_400.0, 5 * 86_400.0)
-        assert np.array_equal(slice_again.times, manual.times)
-        assert np.array_equal(slice_again.results, manual.results)
+        truth = DatasetBuilder(world).truth(spec, 10 * DAY, 5 * DAY)
+        assert truth.column_of(10 * DAY) == 0
+        assert truth.col_times[0] <= 10 * DAY < truth.col_times[0] + 660.0
+        assert truth.col_times[-1] < 15 * DAY

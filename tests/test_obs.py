@@ -267,7 +267,7 @@ class TestTracedEngineRun:
 
     def test_traced_parallel_matches_serial_results(self):
         tracer = Tracer()
-        engine = CampaignEngine(ParallelExecutor(workers=2, chunk_size=2))
+        engine = CampaignEngine(ParallelExecutor(workers=2))
         run = engine.run(_square, list(range(10)), label="p", tracer=tracer)
         assert run.results == [i * i for i in range(10)]
         assert sum(1 for s in tracer.finished if s.name == "block") == 10

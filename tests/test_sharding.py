@@ -13,6 +13,7 @@ from __future__ import annotations
 import gc
 import pickle
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -380,6 +381,19 @@ class _FlakySquare:
         return f"{x:064d}"
 
 
+class _TrackedSquare(_FlakySquare):
+    """A cacheable job that keeps a weak reference to each result it makes."""
+
+    def __init__(self):
+        super().__init__()
+        self.made = []
+
+    def __call__(self, x):
+        result = np.full(16, float(x * x))
+        self.made.append(weakref.ref(result))
+        return result
+
+
 class TestShardedCache:
     def test_resharding_stays_warm(self, small_world, tmp_path):
         cold = CampaignEngine(
@@ -415,6 +429,20 @@ class TestShardedCache:
         assert run.metrics.cache == {"hits": 0, "misses": 9, "stores": 9}
         assert not list((tmp_path / "cache").glob("shard-*"))
         assert len(list((tmp_path / "cache").glob("*/*.pkl"))) == 9
+
+    def test_cached_run_keeps_no_result_alive(self, tmp_path):
+        job = _TrackedSquare()
+        engine = CampaignEngine(
+            SerialExecutor(), cache=AnalysisCache(tmp_path / "cache"), shards=2
+        )
+        run = engine.run(job, list(range(8)))
+        assert run.metrics.cache == {"hits": 0, "misses": 8, "stores": 8}
+        assert len(job.made) == 8
+        del run
+        gc.collect()
+        # the results now live only in the cache directory: the engine
+        # and its cache hold none of them
+        assert [ref for ref in job.made if ref() is not None] == []
 
     def test_failed_shard_resumes_from_the_cache(self, tmp_path, monkeypatch):
         spill_parent = tmp_path / "spill"

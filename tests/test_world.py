@@ -96,6 +96,34 @@ class TestWorldModel:
         offset = int(2 * 86_400.0 // 660.0)
         assert np.array_equal(windowed.active, full.active[:, offset:])
 
+    @pytest.mark.parametrize(
+        "start_s", [0.0, 1.0, 659.9, 660.0, 3.5 * 86_400.0 + 17.0, 6 * 86_400.0 - 1.0]
+    )
+    def test_windows_with_one_end_agree_column_for_column(self, world, start_s):
+        """Whatever its start, a window is the matching suffix of the
+        truth from time zero to the same end."""
+        end = 6 * 86_400.0
+        for spec in world.blocks[:40]:
+            full = world.truth(spec, end)
+            window = world.truth(spec, end - start_s, start_s=start_s)
+            first = full.column_of(start_s)
+            assert np.array_equal(window.col_times, full.col_times[first:])
+            assert np.array_equal(window.active, full.active[:, first:])
+            assert np.array_equal(window.addresses, full.addresses)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the truth's draws depend on the window's end, so a longer "
+        "window sees different activity on the days the two share",
+    )
+    def test_windows_with_different_ends_agree_on_shared_columns(self):
+        world = WorldModel(scenario_covid2020(), n_blocks=60, seed=11)
+        start = 92 * 86_400.0
+        for spec in world.blocks:
+            short = world.truth(spec, 28 * 86_400.0, start_s=start)
+            long = world.truth(spec, 182 * 86_400.0, start_s=start)
+            assert np.array_equal(short.active, long.active[:, : short.n_cols])
+
     def test_diurnal_boost_increases_diurnal_kinds(self):
         base = WorldModel(scenario_covid2020(), n_blocks=400, seed=13)
         boosted = WorldModel(
